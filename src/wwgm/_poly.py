@@ -12,12 +12,9 @@ Exponent keys are tuples of length 2n: p-powers first, then x-powers.
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import Iterator
 
 import numpy as np
-
-_TOL = 0.0  # coefficients are kept exactly; dropping only exact zeros
 
 
 class PhasePolynomial:

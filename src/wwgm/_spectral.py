@@ -24,10 +24,3 @@ def shift(values: np.ndarray, freqs: np.ndarray, axis: int, amount: float) -> np
     shape[axis] = len(freqs)
     ramp = np.exp(-1j * freqs * amount).reshape(shape)
     return np.fft.ifft(ramp * np.fft.fft(values, axis=axis), axis=axis)
-
-
-def mixed_multiplier_apply(values: np.ndarray, mult: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Apply a pseudodifferential multiplier diagonal in the mixed
-    (coordinates, frequencies-along-`axes`) representation."""
-    spec = np.fft.fftn(values, axes=axes)
-    return np.fft.ifftn(mult * spec, axes=axes)

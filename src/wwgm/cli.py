@@ -25,10 +25,8 @@ import numpy as np
 from .catalog import make_observable
 from .contraction_lab import (
     SweepSpec,
-    SweepTable,
     bracket_convergence,
-    contracted_coherent_state,
-    left_operator_limit,
+    left_operator_sweep,
     overlap_decay_sweep,
     product_commutativization,
     theta_decoupling_scan,
@@ -73,6 +71,25 @@ _KNOWN_KEYS = {
     "out_dir",
 }
 
+#: closed key sets of the nested config blocks; `point` nests inside `coset`
+_BLOCK_KEYS = {
+    "grid": {"n", "N", "L"},
+    "label": {"p", "x"},
+    "label_b": {"p", "x"},
+    "star_method": {"variant", "order"},
+    "observable_params": {"p0", "x0", "sigma"},
+    "coset": {"omega", "pbar", "xbar", "thetabar", "point"},
+}
+_POINT_KEYS = {"p", "x", "theta"}
+
+
+def _check_block(name: str, block, allowed: set[str]) -> None:
+    if not isinstance(block, dict):
+        raise ValidationError(f"config block {name!r} must be a JSON object, got {block!r}")
+    unknown = set(block) - allowed
+    if unknown:
+        raise ValidationError(f"unknown keys in {name!r}: {sorted(unknown)}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -105,6 +122,12 @@ class ExperimentConfig:
             raise ValidationError(f"unknown picture {self.picture!r}; one of {PICTURES}")
         if self.sweep is not None and self.sweep not in SWEEPS:
             raise ValidationError(f"unknown sweep {self.sweep!r}; one of {SWEEPS}")
+        for name, allowed in _BLOCK_KEYS.items():
+            block = getattr(self, name)
+            if block is not None or name in ("grid", "star_method"):
+                _check_block(name, block, allowed)
+        if self.coset is not None and "point" in self.coset:
+            _check_block("coset.point", self.coset["point"], _POINT_KEYS)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -138,6 +161,9 @@ class ExperimentConfig:
         raw = getattr(self, "label" if which == "label" else "label_b")
         if raw is None:
             raise ValidationError(f"experiment {self.kind!r} requires {which!r}")
+        missing = {"p", "x"} - set(raw)
+        if missing:
+            raise ValidationError(f"{which!r} must set {sorted(missing)}")
         return CoherentLabel(raw["p"], raw["x"])
 
     def make_generator(self):
@@ -292,14 +318,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[str]:
         summary["fits"]["log_overlap_vs_k2"] = {"slope": float(slope),
                                                 "intercept": float(intercept)}
     elif mode == "left-operator":
-        label = cfg.make_label()
-        rows = {"k": [], "residual_x": [], "residual_p": []}
-        for k in spec.k_values:
-            probe = contracted_coherent_state(label, k, grid)
-            rep = left_operator_limit(k, probe)
-            for key in rows:
-                rows[key].append(rep[key])
-        table = SweepTable("left-operator", rows)
+        table = left_operator_sweep(cfg.make_label(), spec)
         summary = table.summary(("residual_x", "residual_p"))
     elif mode == "commutativization":
         alpha = make_observable(cfg.observable or "x", grid)
@@ -410,7 +429,10 @@ def main(argv=None) -> int:
         if args.out:
             cfg.out_dir = args.out
         if args.k:
-            cfg.k_values = [float(v) for v in args.k.split(",")]
+            try:
+                cfg.k_values = [float(v) for v in args.k.split(",")]
+            except ValueError as exc:
+                raise ValidationError(f"--k must be comma-separated numbers: {exc}") from exc
         if args.grid_n:
             cfg.grid["N"] = args.grid_n
         if args.dt:

@@ -17,7 +17,6 @@ concurrently; tables are assembled in ascending k order.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -137,11 +136,6 @@ class SweepTable:
                 "residual_se": fit.residual_se,
             }
         return out
-
-    def write_summary(self, path, fit_keys: tuple[str, ...]) -> None:
-        with open(path, "w") as f:
-            json.dump(self.summary(fit_keys), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 # ---------------------------------------------------------------------------

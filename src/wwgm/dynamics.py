@@ -12,11 +12,14 @@ The k-dependent forms use the contracted star and converge to the
 Poisson-bracket flows as k → ∞; the wavefunction equation has no such
 limit and is deliberately offered only at k = 1.
 
-Integration is a fixed-step classical Runge-Kutta 4 scheme (global error
-O(dt⁴)), guarded by dt·‖G‖∞ ≤ 0.5. Separable generators G = K(p) + V(x)
-are applied through mixed-space multipliers, K(p + cμ_x) and V(x − cμ_p),
-which star-multiply in O(N log N) per axis and are exact for band-limited
-states.
+All five pictures are stepped by one fixed-step classical Runge-Kutta 4
+runner (global error O(dt⁴)), guarded by dt·‖G‖∞ ≤ 0.5. Each picture
+hands it a state (a grid array, or the coefficients of a polynomial
+observable, which evolve exactly), a right-hand side, a snapshot recorder
+and, where the picture has one, the invariant whose drift aborts the run.
+Separable generators G = K(p) + V(x) are applied through mixed-space
+multipliers, K(p + cμ_x) and V(x − cμ_p), which star-multiply in
+O(N log N) per axis and are exact for band-limited states.
 """
 
 from __future__ import annotations
@@ -59,12 +62,11 @@ class HamiltonianGenerator:
         K = PhasePolynomial(n)
         V = PhasePolynomial(n)
         for e, c in self.poly.coeffs.items():
-            pure_p = all(e[n + i] == 0 for i in range(n))
-            pure_x = all(e[i] == 0 for i in range(n))
-            if pure_p:
-                K = K + PhasePolynomial(n, {e: c})
-            elif pure_x:
-                V = V + PhasePolynomial(n, {e: c})
+            term = PhasePolynomial(n, {e: c})
+            if term.depends_only_on_p():
+                K = K + term
+            elif term.depends_only_on_x():
+                V = V + term
             else:
                 return None
         return K, V
@@ -172,59 +174,47 @@ class _LeftStar:
         self.c = 1.0 / k ** 2
         self.G_field = G.make(grid)
         split = G.split_separable()
-        self._KM = self._VM = None
-        cut = self.DEALIAS_FRACTION * float(np.max(np.abs(grid.freqs)))
+        #: (multiplier, axes it acts on in frequency space) per nonzero part; None if not separable
+        self._mults = None
         if split is not None:
             K, V = split
-            n = grid.n
-            if not K.is_zero:
-                args = list(grid.fields)
-                mask = np.ones((), dtype=float)
-                for i in range(n):
-                    shp = [1] * (2 * n)
-                    shp[n + i] = grid.N
-                    freqs = grid.freqs.reshape(shp)
-                    args[i] = grid.p_field(i) + self.c * freqs
-                    mask = mask * (np.abs(freqs) <= cut)
-                self._KM = K.evaluate(args) * mask
-            if not V.is_zero:
-                args = list(grid.fields)
-                mask = np.ones((), dtype=float)
-                for i in range(n):
-                    shp = [1] * (2 * n)
-                    shp[i] = grid.N
-                    freqs = grid.freqs.reshape(shp)
-                    args[n + i] = grid.x_field(i) - self.c * freqs
-                    mask = mask * (np.abs(freqs) <= cut)
-                self._VM = V.evaluate(args) * mask
-            self._separable = True
-        else:
-            self._separable = False
+            parts = ((K, grid.p_axes(), grid.x_axes(), 1.0),
+                     (V, grid.x_axes(), grid.p_axes(), -1.0))
+            self._mults = [(self._multiplier(poly, coords, axes, sign), axes)
+                           for poly, coords, axes, sign in parts if not poly.is_zero]
+
+    def _multiplier(self, poly: PhasePolynomial, coords, freq_axes, sign: float) -> np.ndarray:
+        """poly with coordinate field coords[i] replaced by coords[i] + sign·c·μ,
+        μ the frequency along freq_axes[i], dealiased along those axes."""
+        g = self.grid
+        cut = self.DEALIAS_FRACTION * float(np.max(np.abs(g.freqs)))
+        args = list(g.fields)
+        mask = np.ones((), dtype=float)
+        for coord, ax in zip(coords, freq_axes):
+            shp = [1] * (2 * g.n)
+            shp[ax] = g.N
+            freqs = g.freqs.reshape(shp)
+            args[coord] = g.fields[coord] + sign * self.c * freqs
+            mask = mask * (np.abs(freqs) <= cut)
+        return poly.evaluate(args) * mask
 
     @property
     def spectral_rate(self) -> float:
         """Largest oscillation rate the stepped operator can exhibit."""
+        if self._mults is None:
+            return float(np.max(np.abs(self.G_field.values))) / HBAR
         rate = 0.0
-        if self._KM is not None:
-            rate += float(np.max(np.abs(self._KM)))
-        if self._VM is not None:
-            rate += float(np.max(np.abs(self._VM)))
-        if not self._separable:
-            rate = float(np.max(np.abs(self.G_field.values)))
+        for mult, _axes in self._mults:
+            rate += float(np.max(np.abs(mult)))
         return rate / HBAR
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        if not self._separable:
+        if self._mults is None:
             f = PhaseFunction(self.grid, values, _checked=True)
             return star(self.G_field, f, k=self.c ** -0.5).values
-        g = self.grid
-        out = np.zeros(g.shape, dtype=np.complex128)
-        if self._KM is not None:
-            spec = np.fft.fftn(values, axes=g.x_axes())
-            out += np.fft.ifftn(self._KM * spec, axes=g.x_axes())
-        if self._VM is not None:
-            spec = np.fft.fftn(values, axes=g.p_axes())
-            out += np.fft.ifftn(self._VM * spec, axes=g.p_axes())
+        out = np.zeros(self.grid.shape, dtype=np.complex128)
+        for mult, axes in self._mults:
+            out += np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
         return out
 
     def commutator(self, values: np.ndarray) -> np.ndarray:
@@ -233,28 +223,34 @@ class _LeftStar:
 
 
 class _PoissonFlow:
-    """v ↦ {G, v} with the generator's derivatives evaluated analytically."""
+    """v ↦ {G, v} with the generator's derivatives evaluated analytically.
+
+    Only the (±∂G field, axis) terms whose derivative polynomial is nonzero
+    are kept, so a generator that depends on p alone costs one spectral
+    derivative per x axis.
+    """
 
     def __init__(self, G: HamiltonianGenerator, grid: PhaseGrid):
         self.grid = grid
-        self.dGdx = [G.poly.diff_x(i).evaluate(grid.fields) for i in range(grid.n)]
-        self.dGdp = [G.poly.diff_p(i).evaluate(grid.fields) for i in range(grid.n)]
+        self.terms = []
+        for i in range(grid.n):
+            for dG, axis in ((G.poly.diff_x(i), i), (-1.0 * G.poly.diff_p(i), grid.n + i)):
+                if not dG.is_zero:
+                    self.terms.append((dG.evaluate(grid.fields), axis))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         g = self.grid
         out = np.zeros(g.shape, dtype=np.complex128)
-        for i in range(g.n):
-            out += self.dGdx[i] * derivative(values, g.freqs, axis=i)
-            out -= self.dGdp[i] * derivative(values, g.freqs, axis=g.n + i)
+        for field, axis in self.terms:
+            out += field * derivative(values, g.freqs, axis=axis)
         return out
 
     @property
     def spectral_rate(self) -> float:
         kmax = float(np.max(np.abs(self.grid.freqs)))
         rate = 0.0
-        for i in range(self.grid.n):
-            rate += float(np.max(np.abs(self.dGdx[i]))) * kmax
-            rate += float(np.max(np.abs(self.dGdp[i]))) * kmax
+        for field, _axis in self.terms:
+            rate += float(np.max(np.abs(field))) * kmax
         return rate
 
 
@@ -284,22 +280,40 @@ def _rk4_step(y, rhs, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _run_grid_evolution(y0, rhs, cfg, save_every, record, conserve):
-    """March RK4 on a raw array, recording snapshots and policing the
-    conserved scalar (name, value0, tolerance) from `conserve`."""
-    name, ref, tol, measure = conserve
+def _run_evolution(y0, rhs, cfg, save_every, record, conserve=None):
+    """March RK4 from y0, a grid array or a PhasePolynomial, recording
+    snapshots. `conserve` is (name, value0, tolerance, measure) for a
+    picture with an invariant to police after every step, None otherwise."""
     record(0, y0)
     y = y0
     for step in range(1, cfg.steps + 1):
         y = _rk4_step(y, rhs, cfg.dt)
-        drift = abs(measure(y) - ref)
-        if drift > tol:
-            raise AccuracyError(
-                f"{name} drifted by {drift:.3e} (tolerance {tol:.0e}) at step {step}",
-                step=step, drift=drift)
+        if conserve is not None:
+            name, ref, tol, measure = conserve
+            drift = abs(measure(y) - ref)
+            if drift > tol:
+                raise AccuracyError(
+                    f"{name} drifted by {drift:.3e} (tolerance {tol:.0e}) at step {step}",
+                    step=step, drift=drift)
         if (save_every and step % save_every == 0) or step == cfg.steps:
             record(step, y)
     return y
+
+
+def _recorder(traj, grid, dt, role, norm_of=None, energy_of=None):
+    """Snapshot callback for _run_evolution. The norm column defaults to the
+    sup-norm and the energy column to NaN when the picture defines none."""
+
+    def record(step, y):
+        if isinstance(y, PhasePolynomial):
+            f = PhaseFunction.from_poly(grid, y, role=role)
+        else:
+            f = PhaseFunction(grid, y, role=role, _checked=True)
+        norm_val = f.max_abs() if norm_of is None else norm_of(y)
+        energy = float("nan") if energy_of is None else energy_of(y)
+        traj.record(step * dt, f, norm_val, energy)
+
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +333,12 @@ def schrodinger_evolve(phi: PhaseFunction, G: HamiltonianGenerator,
     _rate_guard(lstar.spectral_rate, cfg)
     factor = 1.0 / 2j
     measure = lambda v: float(np.sum(np.abs(v) ** 2)) * grid.weight / np.pi ** grid.n
-
+    energy = lambda v: float(np.real(np.sum(np.conj(v) * lstar(v)))
+                             * grid.weight / np.pi ** grid.n)
     traj = Trajectory("schrodinger")
-
-    def record(step, v):
-        f = PhaseFunction(grid, v, role="wavefunction", _checked=True)
-        energy = float(np.real(np.sum(np.conj(v) * lstar(v)))
-                       * grid.weight / np.pi ** grid.n)
-        traj.record(step * cfg.dt, f, measure(v), energy)
-
-    _run_grid_evolution(phi.values, lambda v: factor * lstar(v), cfg, save_every,
-                        record, ("norm", nrm0, NORM_DRIFT_TOL, measure))
+    _run_evolution(phi.values, lambda v: factor * lstar(v), cfg, save_every,
+                   _recorder(traj, grid, cfg.dt, "wavefunction", measure, energy),
+                   ("norm", nrm0, NORM_DRIFT_TOL, measure))
     return traj
 
 
@@ -346,38 +355,16 @@ def heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
     _stability_guard(G, grid, cfg)
     c = 1.0 / k ** 2
     factor = k ** 2 / 2j
-    traj = Trajectory("heisenberg")
-
     if alpha.poly is not None:
-        poly = alpha.poly
-
-        def rhs(q):
-            return (star_poly(q, G.poly, c) - star_poly(G.poly, q, c)) * factor
-
-        def record_poly(step, q):
-            f = PhaseFunction.from_poly(grid, q)
-            traj.record(step * cfg.dt, f, f.max_abs(), float("nan"))
-
-        record_poly(0, poly)
-        q = poly
-        for step in range(1, cfg.steps + 1):
-            q = _rk4_step(q, rhs, cfg.dt)
-            if (save_every and step % save_every == 0) or step == cfg.steps:
-                record_poly(step, q)
-        return traj
-
-    lstar = _LeftStar(G, grid, k)
-    _rate_guard(lstar.spectral_rate, cfg)
-
-    def record(step, v):
-        f = PhaseFunction(grid, v, _checked=True)
-        traj.record(step * cfg.dt, f, f.max_abs(), float("nan"))
-
-    sup0 = float(np.max(np.abs(alpha.values)))
-    _run_grid_evolution(alpha.values, lambda v: -factor * lstar.commutator(v),
-                        cfg, save_every, record,
-                        ("observable sup-norm", sup0, np.inf,
-                         lambda v: float(np.max(np.abs(v)))))
+        y0 = alpha.poly
+        rhs = lambda q: (star_poly(q, G.poly, c) - star_poly(G.poly, q, c)) * factor
+    else:
+        lstar = _LeftStar(G, grid, k)
+        _rate_guard(lstar.spectral_rate, cfg)
+        y0 = alpha.values
+        rhs = lambda v: -factor * lstar.commutator(v)
+    traj = Trajectory("heisenberg")
+    _run_evolution(y0, rhs, cfg, save_every, _recorder(traj, grid, cfg.dt, "observable"))
     return traj
 
 
@@ -394,17 +381,12 @@ def liouville_evolve(rho: PhaseFunction, G: HamiltonianGenerator,
     factor = k ** 2 / 2j
     trace_w = grid.weight / (2.0 ** (2 * grid.n) * np.pi ** grid.n)
     measure = lambda v: float(np.real(np.sum(v))) * trace_w
+    energy = lambda v: float(np.real(np.sum(G.make(grid).values * v)) * trace_w)
     tr0 = measure(rho.values)
     traj = Trajectory("liouville")
-
-    def record(step, v):
-        f = PhaseFunction(grid, v, role="density", _checked=True)
-        energy = float(np.real(np.sum(G.make(grid).values * v)) * trace_w)
-        traj.record(step * cfg.dt, f, measure(v), energy)
-
-    _run_grid_evolution(rho.values, lambda v: factor * lstar.commutator(v),
-                        cfg, save_every, record,
-                        ("trace", tr0, TRACE_DRIFT_TOL, measure))
+    _run_evolution(rho.values, lambda v: factor * lstar.commutator(v), cfg, save_every,
+                   _recorder(traj, grid, cfg.dt, "density", measure, energy),
+                   ("trace", tr0, TRACE_DRIFT_TOL, measure))
     return traj
 
 
@@ -427,15 +409,11 @@ def classical_liouville_evolve(rho: PhaseFunction, G: HamiltonianGenerator,
     measure = lambda v: float(np.real(np.sum(v))) * grid.weight
     mass0 = measure(rho.values)
     G_vals = G.make(grid).values
+    energy = lambda v: float(np.real(np.sum(G_vals * v)) * grid.weight)
     traj = Trajectory("classical-liouville")
-
-    def record(step, v):
-        f = PhaseFunction(grid, v, role="density", _checked=True)
-        energy = float(np.real(np.sum(G_vals * v)) * grid.weight)
-        traj.record(step * cfg.dt, f, measure(v), energy)
-
-    _run_grid_evolution(rho.values, flow, cfg, save_every, record,
-                        ("mass", mass0, MASS_DRIFT_TOL * max(1.0, abs(mass0)), measure))
+    _run_evolution(rho.values, flow, cfg, save_every,
+                   _recorder(traj, grid, cfg.dt, "density", measure, energy),
+                   ("mass", mass0, MASS_DRIFT_TOL * max(1.0, abs(mass0)), measure))
     return traj
 
 
@@ -444,32 +422,16 @@ def classical_heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
     """Transport a classical observable: dα/dt = {α, G}."""
     grid = alpha.grid
     _stability_guard(G, grid, cfg)
-    traj = Trajectory("classical-heisenberg")
-
     if alpha.poly is not None:
-        q = alpha.poly
-
-        def record_poly(step, qq):
-            f = PhaseFunction.from_poly(grid, qq)
-            traj.record(step * cfg.dt, f, f.max_abs(), float("nan"))
-
-        record_poly(0, q)
-        for step in range(1, cfg.steps + 1):
-            q = _rk4_step(q, lambda qq: poisson_poly(qq, G.poly), cfg.dt)
-            if (save_every and step % save_every == 0) or step == cfg.steps:
-                record_poly(step, q)
-        return traj
-
-    flow = _PoissonFlow(G, grid)
-    _rate_guard(flow.spectral_rate, cfg)
-
-    def record(step, v):
-        f = PhaseFunction(grid, v, _checked=True)
-        traj.record(step * cfg.dt, f, float(np.max(np.abs(v))), float("nan"))
-
-    _run_grid_evolution(alpha.values, lambda v: -flow(v), cfg, save_every, record,
-                        ("observable sup-norm", float(np.max(np.abs(alpha.values))),
-                         np.inf, lambda v: float(np.max(np.abs(v)))))
+        y0 = alpha.poly
+        rhs = lambda q: poisson_poly(q, G.poly)
+    else:
+        flow = _PoissonFlow(G, grid)
+        _rate_guard(flow.spectral_rate, cfg)
+        y0 = alpha.values
+        rhs = lambda v: -flow(v)
+    traj = Trajectory("classical-heisenberg")
+    _run_evolution(y0, rhs, cfg, save_every, _recorder(traj, grid, cfg.dt, "observable"))
     return traj
 
 
@@ -500,26 +462,20 @@ class FreeParticleTildeGenerator:
     """Contracted derivation generator of the free flow: G̃ = (−iħ/m) p·∂_x."""
 
     mass: float
-    k: float = 1.0
 
     def __post_init__(self):
         if not self.mass > 0:
             raise ValidationError(f"mass {self.mass} must be positive")
-        if not self.k > 0:
-            raise ValidationError(f"k {self.k} must be positive")
 
     def apply(self, rho: PhaseFunction) -> PhaseFunction:
-        g = rho.grid
-        out = np.zeros(g.shape, dtype=np.complex128)
-        for i in range(g.n):
-            out += (-1j * HBAR / self.mass) * g.p_field(i) \
-                * derivative(rho.values, g.freqs, axis=g.n + i)
-        return PhaseFunction(g, out, role=rho.role, _checked=True)
+        return 2j * self.flow(rho)
 
     def flow(self, rho: PhaseFunction) -> PhaseFunction:
-        """(1/2i) G̃ ρ = −(p/m)·∂_x ρ, the advection field of G = p²/(2m)."""
-        return self.apply(rho) * (1.0 / 2j)
+        """(1/2i) G̃ ρ = {p²/2m, ρ} = −(p/m)·∂_x ρ, the free advection field."""
+        g = rho.grid
+        vals = _PoissonFlow(free_generator(self.mass, g.n), g)(rho.values)
+        return PhaseFunction(g, vals, role=rho.role, _checked=True)
 
 
-def free_particle_tilde_generator(mass: float, k: float = 1.0) -> FreeParticleTildeGenerator:
-    return FreeParticleTildeGenerator(mass=mass, k=k)
+def free_particle_tilde_generator(mass: float) -> FreeParticleTildeGenerator:
+    return FreeParticleTildeGenerator(mass=mass)

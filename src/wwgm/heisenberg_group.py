@@ -55,9 +55,6 @@ class GroupElement:
     def n(self) -> int:
         return len(self.p)
 
-    def is_identity(self) -> bool:
-        return not self.p.any() and not self.x.any() and self.theta == 0.0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupElement):
             return NotImplemented

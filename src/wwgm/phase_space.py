@@ -111,6 +111,10 @@ class CoherentLabel:
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
         if self.p.shape != self.x.shape or self.p.ndim != 1:
             raise ValidationError("label components p, x must be 1-d vectors of equal length")
+        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.x))):
+            raise ValidationError(
+                f"coherent label (p={self.p.tolist()}, x={self.x.tolist()}) "
+                "has non-finite components")
 
     @property
     def n(self) -> int:
@@ -198,10 +202,6 @@ class PhaseFunction:
         return PhaseFunction(self.grid, self.values, role=role, poly=self.poly)
 
     # ------------------------------------------------------------- queries
-    @property
-    def is_polynomial(self) -> bool:
-        return self.poly is not None
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 

@@ -32,7 +32,6 @@ from itertools import product as iter_product
 import numpy as np
 
 from ._poly import PhasePolynomial, poisson_poly, star_poly, _multi_indices
-from ._spectral import derivative
 from .errors import AccuracyError, ValidationError
 from .phase_space import DENSITY_IMAG_TOL, PhaseFunction, PhaseGrid, inner
 
@@ -315,9 +314,7 @@ def star(alpha: PhaseFunction, beta: PhaseFunction,
 
     if method is None:
         method = SPECTRAL
-    if alpha.poly is not None or beta.poly is not None:
-        values, _ = _star_series(alpha, beta, c, method.order)
-    elif method.variant == "series":
+    if alpha.poly is not None or beta.poly is not None or method.variant == "series":
         values, _ = _star_series(alpha, beta, c, method.order)
     else:
         values = _star_spectral(alpha.values, beta.values, grid, c)

@@ -28,6 +28,29 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_json('{"kind": "coherent", "labels": {}}')
 
 
+@pytest.mark.parametrize("block, value", [
+    ("grid", {"n": 1, "N": 64, "L": 8.0, "M": 3}),
+    ("label", {"p": [0.0], "x": [0.0], "y": [0.0]}),
+    ("label_b", {"p": [0.0], "x": [0.0], "q": [0.0]}),
+    ("star_method", {"variant": "spectral", "order": 8, "tol": 1e-9}),
+    ("observable_params", {"sigma": 1.0, "mu": 0.0}),
+    ("coset", {"omega": [[0.0]], "pbar": [1.0], "extra": 1}),
+    ("coset", {"omega": [[0.0]], "point": {"p": [0.0], "x": [0.0], "phi": 0.0}}),
+])
+def test_config_blocks_reject_unknown_keys(block, value):
+    with pytest.raises(ValidationError, match="unknown keys"):
+        ExperimentConfig.from_dict({"kind": "coherent", block: value})
+
+
+def test_perfbench_workload_configs_load():
+    from perfbench import workloads
+
+    for name in workloads.WORKLOADS:
+        for cfg in workloads.pass_configs(name, seed=1):
+            ExperimentConfig.from_dict(cfg)
+        ExperimentConfig.from_dict(workloads.warmup_config(name, seed=1))
+
+
 def test_config_requires_kind():
     with pytest.raises(ValidationError):
         ExperimentConfig.from_json('{"grid": {"n": 1}}')
@@ -111,15 +134,19 @@ def test_evolve_liouville_picture(tmp_path):
     assert last[2] == pytest.approx(first[2], abs=1e-8)  # energy conserved
 
 
-def test_evolve_snapshots(tmp_path):
+@pytest.mark.parametrize("observable", ["x", "gaussian"])  # polynomial, grid state
+@pytest.mark.parametrize("picture", ["heisenberg", "classical-heisenberg"])
+def test_evolve_snapshots(tmp_path, picture, observable):
     out = tmp_path / "out"
     cfg = ExperimentConfig(
-        kind="evolve", picture="classical-heisenberg", hamiltonian="free",
-        observable="x", mass=1.0, grid={"n": 1, "N": 64, "L": 8.0},
+        kind="evolve", picture=picture, hamiltonian="free",
+        observable=observable, mass=1.0, grid={"n": 1, "N": 64, "L": 8.0},
         dt=1e-3, steps=20, save_every=10, out_dir=str(out))
     assert run(cfg) == 0
-    assert (out / "snapshots" / "state_000000.bin").exists()
-    assert (out / "snapshots" / "state_000020.bin").exists()
+    snaps = {p.name for p in (out / "snapshots").iterdir()}
+    assert snaps == {f"state_{s:06d}.bin" for s in (0, 10, 20)}
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
 
 
 def test_sweep_overlap(tmp_path):
@@ -187,6 +214,22 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
     assert main(["coherent", "--config", str(bad)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("config, extra_args, needle", [
+    ({"kind": "sweep-k", "sweep": "theta", "k_values": [1, 2, 4, 8]}, ["--k", "abc"], "abc"),
+    ({"kind": "coherent", "grid": 5, "label": {"p": [0.0], "x": [0.0]}}, [], "'grid'"),
+    ({"kind": "coherent", "label": {"p": [0.0]}}, [], "['x']"),
+], ids=["k-not-numeric", "grid-not-an-object", "label-without-x"])
+def test_main_malformed_config_exit_code(tmp_path, capsys, config, extra_args, needle):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "o")}))
+    assert main([config["kind"], "--config", str(path), *extra_args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "ValidationError"
+    assert needle in record["message"]
 
 
 def test_main_kind_mismatch(tmp_path, capsys):

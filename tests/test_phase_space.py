@@ -70,6 +70,13 @@ def test_label_margin_enforced(grid):
         coherent_state(CoherentLabel([2.5], [0.0]), grid)  # 2.5 + margin > 8
 
 
+@pytest.mark.parametrize("p, x", [([math.nan], [0.0]), ([0.0], [math.inf]),
+                                  ([0.0, -math.inf], [0.0, 0.0])])
+def test_label_rejects_non_finite_components(p, x):
+    with pytest.raises(ValidationError, match="coherent label .* non-finite"):
+        CoherentLabel(p, x)
+
+
 def test_norm_is_one(grid, rng):
     for _ in range(5):
         phi = coherent_state(random_label(rng), grid)
