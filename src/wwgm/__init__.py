@@ -3,7 +3,6 @@ that exhibits the classical limit numerically."""
 
 from ._poly import PhasePolynomial
 from .analytic_oracle import (
-    OracleResult,
     oracle_coherent_overlap,
     oracle_contracted_overlap,
     oracle_polynomial_star,
@@ -61,13 +60,11 @@ from .phase_space import (
     export_csv,
     inner,
     load_phase_function,
-    norm,
     save_phase_function,
     translate,
 )
 from .star_algebra import (
     HBAR,
-    EffectivePlanck,
     StarMethod,
     moyal_bracket,
     poisson_bracket,

@@ -132,7 +132,7 @@ class PhasePolynomial:
         shape = np.broadcast_shapes(*(np.shape(f) for f in fields))
         out = np.zeros(shape, dtype=np.complex128)
         for e, c in self.coeffs.items():
-            term = np.ones(shape, dtype=np.complex128) * c
+            term = c
             for f, k in zip(fields, e):
                 if k:
                     term = term * f ** k
@@ -157,6 +157,19 @@ def _multi_indices(n: int, total: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _moyal_terms(n: int, max_order: int, c: float):
+    """Yield (m, coef, r, s) for every term of the Moyal expansion through
+    order max_order: coef · (∂_p^r ∂_x^s a)(∂_x^r ∂_p^s b), |r| + |s| = m."""
+    for m in range(max_order + 1):
+        pref = (-1j * c) ** m
+        for rtot in range(m + 1):
+            stot = m - rtot
+            for r in _multi_indices(n, rtot):
+                for s in _multi_indices(n, stot):
+                    fact = math.prod(math.factorial(k) for k in r + s)
+                    yield m, pref * (-1) ** stot / fact, r, s
+
+
 def star_poly(a: PhasePolynomial, b: PhasePolynomial, c: float) -> PhasePolynomial:
     """Exact Moyal product of polynomials with bidifferential prefactor c.
 
@@ -167,24 +180,15 @@ def star_poly(a: PhasePolynomial, b: PhasePolynomial, c: float) -> PhasePolynomi
     total degree, so the result is exact (no truncation).
     """
     a._check(b)
-    n = a.n
-    max_order = min(a.total_degree, b.total_degree)
-    out = PhasePolynomial(n)
-    for m in range(max_order + 1):
-        pref = (-1j * c) ** m
-        for rtot in range(m + 1):
-            stot = m - rtot
-            for r in _multi_indices(n, rtot):
-                for s in _multi_indices(n, stot):
-                    da = a.diff_multi(r, s)
-                    if da.is_zero:
-                        continue
-                    db = b.diff_multi(s, r)  # roles swap: ∂_x^r ∂_p^s b
-                    if db.is_zero:
-                        continue
-                    fact = math.prod(math.factorial(k) for k in r + s)
-                    coef = pref * (-1) ** stot / fact
-                    out = out + (da * db) * coef
+    out = PhasePolynomial(a.n)
+    for _m, coef, r, s in _moyal_terms(a.n, min(a.total_degree, b.total_degree), c):
+        da = a.diff_multi(r, s)
+        if da.is_zero:
+            continue
+        db = b.diff_multi(s, r)  # roles swap: ∂_x^r ∂_p^s b
+        if db.is_zero:
+            continue
+        out = out + (da * db) * coef
     return out
 
 

@@ -10,22 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 MAX_MONOMIAL_DEGREE = 6
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """A reference value with the inputs and formula tag it came from."""
-
-    name: str
-    inputs: dict[str, Any]
-    value: Any
-    derivation: str
 
 
 def _vec(v) -> np.ndarray:
@@ -137,16 +125,3 @@ def oracle_coherent_star(a, b):
 
     return val
 
-
-def evaluate(name: str, **inputs) -> OracleResult:
-    """Uniform wrapper tagging a result with its formula of origin."""
-    table = {
-        "coherent_overlap": (oracle_coherent_overlap, "gaussian overlap integral"),
-        "contracted_overlap": (oracle_contracted_overlap, "scaled gaussian overlap"),
-        "polynomial_star": (oracle_polynomial_star, "terminating bidifferential series"),
-        "quadratic_flow": (oracle_quadratic_flow, "characteristics of quadratic flows"),
-    }
-    if name not in table:
-        raise ValueError(f"unknown oracle {name!r}")
-    fn, tag = table[name]
-    return OracleResult(name=name, inputs=inputs, value=fn(**inputs), derivation=tag)

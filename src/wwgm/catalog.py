@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._poly import PhasePolynomial
-from .errors import ValidationError
+from .errors import ValidationError, _number
 from .phase_space import PhaseFunction, PhaseGrid
 
 MAX_CATALOG_DEGREE = 4
@@ -46,9 +46,9 @@ def make_observable(name: str, grid: PhaseGrid, params: dict | None = None) -> P
     """
     params = params or {}
     if name == "gaussian":
-        p0 = float(params.get("p0", 0.0))
-        x0 = float(params.get("x0", 0.0))
-        sigma = float(params.get("sigma", 1.0))
+        p0 = _number(params.get("p0", 0.0), "observable_params.p0")
+        x0 = _number(params.get("x0", 0.0), "observable_params.x0")
+        sigma = _number(params.get("sigma", 1.0), "observable_params.sigma")
         if sigma <= 0:
             raise ValidationError("gaussian sigma must be positive")
         arg = np.zeros((), dtype=float)

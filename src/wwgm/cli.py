@@ -42,7 +42,7 @@ from .dynamics import (
     liouville_evolve,
     schrodinger_evolve,
 )
-from .errors import AccuracyError, ValidationError, WWGMError
+from .errors import AccuracyError, ValidationError, WWGMError, _number
 from .heisenberg_group import (
     ContractionParam,
     CosetAlgebraParams,
@@ -53,6 +53,7 @@ from .phase_space import (
     CoherentLabel,
     PhaseFunction,
     PhaseGrid,
+    _write_csv,
     coherent_state,
     export_csv,
     save_phase_function,
@@ -154,8 +155,9 @@ class ExperimentConfig:
     # -- resolved pieces ----------------------------------------------------
     def make_grid(self) -> PhaseGrid:
         g = self.grid
-        return PhaseGrid(n=int(g.get("n", 1)), N=int(g.get("N", 256)),
-                         L=float(g.get("L", 8.0)))
+        return PhaseGrid(n=_number(g.get("n", 1), "grid.n", integer=True),
+                         N=_number(g.get("N", 256), "grid.N", integer=True),
+                         L=_number(g.get("L", 8.0), "grid.L"))
 
     def make_label(self, which: str = "label") -> CoherentLabel:
         raw = getattr(self, "label" if which == "label" else "label_b")
@@ -170,18 +172,20 @@ class ExperimentConfig:
         if self.hamiltonian == "harmonic":
             return harmonic_generator(self.make_grid().n)
         if self.hamiltonian == "free":
-            return free_generator(self.mass, self.make_grid().n)
+            return free_generator(_number(self.mass, "mass"), self.make_grid().n)
         raise ValidationError(
             f"unknown hamiltonian {self.hamiltonian!r}; one of ('harmonic', 'free')")
 
     def make_method(self) -> StarMethod:
         return StarMethod(variant=self.star_method.get("variant", "spectral"),
-                          order=int(self.star_method.get("order", 8)))
+                          order=_number(self.star_method.get("order", 8), "star_method.order",
+                                        integer=True))
 
     def make_evolution(self) -> EvolutionConfig:
         if self.dt is None or self.steps is None:
             raise ValidationError("evolve requires dt and steps")
-        return EvolutionConfig(dt=float(self.dt), steps=int(self.steps))
+        return EvolutionConfig(dt=_number(self.dt, "dt"),
+                               steps=_number(self.steps, "steps", integer=True))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +228,7 @@ def _run_coherent(cfg: ExperimentConfig, out: Path) -> list[str]:
 def _run_star_check(cfg: ExperimentConfig, out: Path) -> list[str]:
     grid = cfg.make_grid()
     method = cfg.make_method()
-    k = float(cfg.k)
+    k = _number(cfg.k, "k")
     report: dict = {"k": k}
 
     x = make_observable("x", grid)
@@ -247,10 +251,13 @@ def _run_star_check(cfg: ExperimentConfig, out: Path) -> list[str]:
     report["associativity_residual"] = float(
         np.max(np.abs(lhs.values - rhs.values)) / scale)
 
+    # the series path against the closed form x ⋆ g = (x − i c (p − p0)/σ²)·g, c = 1/k²
+    params = cfg.observable_params or {}
+    p0 = _number(params.get("p0", 0.0), "observable_params.p0")
+    sigma = _number(params.get("sigma", 1.0), "observable_params.sigma")
+    closed = (grid.x_field() - 1j * (grid.p_field() - p0) / (k ** 2 * sigma ** 2)) * gauss.values
     xg_series = star(x, gauss, StarMethod("series", method.order), k)
-    xg_spectral = star(x, gauss, StarMethod("spectral"), k)
-    report["method_agreement"] = float(
-        np.max(np.abs(xg_series.values - xg_spectral.values)))
+    report["method_agreement"] = float(np.max(np.abs(xg_series.values - closed)))
     x2 = make_observable("x^2", grid)
     report["series_tail"] = list(
         star_series_report(x2, gauss, StarMethod("series", method.order), k).term_norms)
@@ -270,26 +277,27 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> list[str]:
     G = cfg.make_generator()
     ev = cfg.make_evolution()
     picture = cfg.picture or "schrodinger"
+    save_every = _number(cfg.save_every, "save_every", integer=True)
 
     if picture == "schrodinger":
         state = coherent_state(cfg.make_label(), grid)
-        traj = schrodinger_evolve(state, G, ev, save_every=cfg.save_every)
+        traj = schrodinger_evolve(state, G, ev, save_every=save_every)
     elif picture == "liouville":
         rho = wigner(coherent_state(cfg.make_label(), grid), cfg.make_method())
-        traj = liouville_evolve(rho, G, ev, k=float(cfg.k), save_every=cfg.save_every)
+        traj = liouville_evolve(rho, G, ev, k=_number(cfg.k, "k"), save_every=save_every)
     elif picture == "classical-liouville":
         rho = wigner(coherent_state(cfg.make_label(), grid), cfg.make_method())
-        traj = classical_liouville_evolve(rho, G, ev, save_every=cfg.save_every)
+        traj = classical_liouville_evolve(rho, G, ev, save_every=save_every)
     elif picture == "heisenberg":
         alpha = make_observable(cfg.observable or "x", grid, cfg.observable_params)
-        traj = heisenberg_evolve(alpha, G, ev, k=float(cfg.k), save_every=cfg.save_every)
+        traj = heisenberg_evolve(alpha, G, ev, k=_number(cfg.k, "k"), save_every=save_every)
     else:
         alpha = make_observable(cfg.observable or "x", grid, cfg.observable_params)
-        traj = classical_heisenberg_evolve(alpha, G, ev, save_every=cfg.save_every)
+        traj = classical_heisenberg_evolve(alpha, G, ev, save_every=save_every)
 
     _atomic(out / "trajectory.csv", lambda p: export_trajectory_csv(traj, p))
     outputs = ["trajectory.csv"]
-    if cfg.save_every:
+    if save_every:
         snap_dir = out / "snapshots"
         snap_dir.mkdir(exist_ok=True)
         for t, state in zip(traj.times, traj.states):
@@ -303,7 +311,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[str]:
     grid = cfg.make_grid()
     if cfg.k_values is None:
         raise ValidationError("sweep-k requires k_values")
-    spec = SweepSpec(tuple(float(v) for v in cfg.k_values), grid)
+    spec = SweepSpec(tuple(_number(v, "k_values") for v in cfg.k_values), grid)
     mode = cfg.sweep
     if mode is None:
         raise ValidationError("sweep-k requires 'sweep'")
@@ -348,36 +356,34 @@ def _coset_from_config(cfg: ExperimentConfig):
         omega=np.asarray(raw.get("omega", [[0.0]]), dtype=float),
         pbar=raw.get("pbar", [0.0]),
         xbar=raw.get("xbar", [0.0]),
-        thetabar=float(raw.get("thetabar", 0.0)),
+        thetabar=_number(raw.get("thetabar", 0.0), "coset.thetabar"),
     )
     pt = raw.get("point", {})
     point = (pt.get("p", [0.0] * params.n), pt.get("x", [0.0] * params.n),
-             float(pt.get("theta", 0.0)))
+             _number(pt.get("theta", 0.0), "coset.point.theta"))
     return params, point
 
 
 def _run_coset(cfg: ExperimentConfig, out: Path) -> list[str]:
     params, point = _coset_from_config(cfg)
-    ks = [float(v) for v in (cfg.k_values or [cfg.k])]
+    ks = [_number(v, "k_values") for v in cfg.k_values] if cfg.k_values else [_number(cfg.k, "k")]
     n = params.n
 
     head = (["k"] + [f"p{i+1}" for i in range(n)] + [f"x{i+1}" for i in range(n)]
             + ["theta"] + [f"dp{i+1}" for i in range(n)]
             + [f"dx{i+1}" for i in range(n)] + ["dtheta"])
-    lines = [",".join(head)]
+    rows = []
     for k in ks:
         dp, dx, dth = phase_space_coset_flow(params, point, ContractionParam(k))
-        row = [k, *np.atleast_1d(point[0]), *np.atleast_1d(point[1]), point[2],
-               *dp, *dx, dth]
-        lines.append(",".join("%.17g" % float(v) for v in row))
-    _atomic(out / "coset_phase.csv", lambda p: p.write_text("\n".join(lines) + "\n"))
+        rows.append([k, *np.atleast_1d(point[0]), *np.atleast_1d(point[1]), point[2],
+                     *dp, *dx, dth])
+    _atomic(out / "coset_phase.csv", lambda p: _write_csv(p, ",".join(head), rows))
 
     dxc, dthc = config_coset_flow(params, (point[1], point[2]))
     head = ([f"x{i+1}" for i in range(n)] + ["theta"]
             + [f"dx{i+1}" for i in range(n)] + ["dtheta"])
     row = [*np.atleast_1d(point[1]), point[2], *dxc, dthc]
-    text = ",".join(head) + "\n" + ",".join("%.17g" % float(v) for v in row) + "\n"
-    _atomic(out / "coset_config.csv", lambda p: p.write_text(text))
+    _atomic(out / "coset_config.csv", lambda p: _write_csv(p, ",".join(head), [row]))
     return ["coset_phase.csv", "coset_config.csv"]
 
 

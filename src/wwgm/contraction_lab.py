@@ -24,14 +24,15 @@ import numpy as np
 
 from ._spectral import derivative
 from .errors import AccuracyError, ValidationError
-from .heisenberg_group import ContractionParam, CosetAlgebraParams, phase_space_coset_flow
-from .phase_space import CoherentLabel, PhaseFunction, PhaseGrid, inner
+from .heisenberg_group import (ContractionParam, CosetAlgebraParams, _coerce_k,
+                               phase_space_coset_flow)
+from .phase_space import (CoherentLabel, PhaseFunction, PhaseGrid, _coherent_gaussian,
+                          _write_csv, inner)
 from .star_algebra import StarMethod, poisson_bracket, scaled_moyal_bracket, star
 
 MIN_POINTS_PER_WIDTH = 8
 MIN_K_COUNT = 4
 MIN_K_SPAN = 8.0
-CONTRACTED_MARGIN = 6.0  # in contracted widths 1/k
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,9 @@ class SweepSpec:
     grid: PhaseGrid
 
     def __post_init__(self):
-        ks = tuple(float(k) for k in self.k_values)
+        ks = tuple(_coerce_k(k) for k in self.k_values)
         if len(ks) < MIN_K_COUNT:
             raise ValidationError(f"need at least {MIN_K_COUNT} k-values for slope fits")
-        if any(k <= 0 for k in ks):
-            raise ValidationError("k-values must be positive")
         if list(ks) != sorted(ks):
             raise ValidationError("k-values must be ascending")
         if ks[-1] / ks[0] < MIN_K_SPAN:
@@ -58,6 +57,7 @@ class SweepSpec:
 
 def check_resolution(grid: PhaseGrid, k: float) -> None:
     """A contracted state has width 1/k; refuse fewer than 8 points per width."""
+    k = _coerce_k(k)
     points_per_width = grid.N / (2.0 * grid.L * k)
     if points_per_width < MIN_POINTS_PER_WIDTH:
         raise ValidationError(
@@ -114,12 +114,7 @@ class SweepTable:
         return fit_loglog(self.columns["k"], self.columns[key])
 
     def to_csv(self, path) -> None:
-        keys = list(self.columns)
-        lines = [",".join(keys)]
-        for row in zip(*(self.columns[k] for k in keys)):
-            lines.append(",".join("%.17g" % v for v in row))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _write_csv(path, ",".join(self.columns), zip(*self.columns.values()))
 
     def summary(self, fit_keys: tuple[str, ...]) -> dict:
         out = {"sweep": self.name, "k_values": list(self.columns["k"]), "fits": {}}
@@ -151,25 +146,12 @@ def contracted_coherent_state(label: CoherentLabel, k: float,
     Normalized under contracted_inner at the same k.
     """
     check_resolution(grid, k)
-    if label.n != grid.n:
-        raise ValidationError("label dimension does not match grid")
-    worst = max(float(np.max(np.abs(label.p))), float(np.max(np.abs(label.x))))
-    if worst + CONTRACTED_MARGIN / k > grid.L:
-        raise ValidationError(
-            f"contracted label magnitude {worst:g} too close to the box edge")
-    k2 = k * k
-    phase = np.zeros((), dtype=np.complex128)
-    gauss = np.zeros((), dtype=np.float64)
-    for i in range(grid.n):
-        P, X = grid.p_field(i), grid.x_field(i)
-        phase = phase + 1j * k2 * (label.p[i] * X - label.x[i] * P)
-        gauss = gauss - 0.5 * k2 * ((P - label.p[i]) ** 2 + (X - label.x[i]) ** 2)
-    return PhaseFunction(grid, np.exp(phase + gauss), role="wavefunction")
+    return _coherent_gaussian(label, grid, _coerce_k(k))
 
 
 def contracted_inner(phi: PhaseFunction, psi: PhaseFunction, k: float) -> complex:
     """Inner product with the contracted measure k^(2n) dp dx / πⁿ."""
-    return complex(k ** (2 * phi.grid.n) * inner(phi, psi))
+    return complex(_coerce_k(k) ** (2 * phi.grid.n) * inner(phi, psi))
 
 
 def contracted_overlap(a: CoherentLabel, b: CoherentLabel, k) -> complex:
@@ -179,9 +161,7 @@ def contracted_overlap(a: CoherentLabel, b: CoherentLabel, k) -> complex:
 
     Equals 1 at a = b for every k and vanishes for a ≠ b as k → ∞.
     """
-    kval = float(getattr(k, "k", k))
-    if kval <= 0:
-        raise ValidationError(f"k={kval} must be positive")
+    kval = _coerce_k(k)
     k2 = kval * kval
     phase = k2 * (float(np.dot(b.x, a.p)) - float(np.dot(b.p, a.x)))
     decay = -0.5 * k2 * (float(np.sum((b.x - a.x) ** 2)) + float(np.sum((b.p - a.p) ** 2)))

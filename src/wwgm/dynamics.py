@@ -31,7 +31,8 @@ import numpy as np
 from ._poly import PhasePolynomial, poisson_poly, star_poly
 from ._spectral import derivative
 from .errors import AccuracyError, ValidationError
-from .phase_space import PhaseFunction, PhaseGrid, inner
+from .heisenberg_group import _coerce_k
+from .phase_space import PhaseFunction, PhaseGrid, _write_csv, inner
 from .star_algebra import HBAR, star
 
 NORM_DRIFT_TOL = 1e-6
@@ -143,13 +144,8 @@ def export_trajectory_csv(traj: Trajectory, path) -> None:
     else:
         header = "t,norm,energy," + ",".join(
             [f"peak_p{i + 1}" for i in range(n)] + [f"peak_x{i + 1}" for i in range(n)])
-    lines = [header]
-    for i in range(len(traj.times)):
-        row = [traj.times[i], traj.norms[i], traj.energies[i],
-               *traj.peaks_p[i], *traj.peaks_x[i]]
-        lines.append(",".join("%.17g" % v for v in row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    rows = zip(traj.times, traj.norms, traj.energies, traj.peaks_p, traj.peaks_x)
+    _write_csv(path, header, ((t, nrm, en, *pp, *px) for t, nrm, en, pp, px in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +167,7 @@ class _LeftStar:
 
     def __init__(self, G: HamiltonianGenerator, grid: PhaseGrid, k: float = 1.0):
         self.grid = grid
-        self.c = 1.0 / k ** 2
+        self.c = 1.0 / _coerce_k(k) ** 2
         self.G_field = G.make(grid)
         split = G.split_separable()
         #: (multiplier, axes it acts on in frequency space) per nonzero part; None if not separable
@@ -352,6 +348,7 @@ def heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
     star multipliers.
     """
     grid = alpha.grid
+    k = _coerce_k(k)
     _stability_guard(G, grid, cfg)
     c = 1.0 / k ** 2
     factor = k ** 2 / 2j
@@ -373,6 +370,7 @@ def liouville_evolve(rho: PhaseFunction, G: HamiltonianGenerator,
                      save_every: int = 0) -> Trajectory:
     """Integrate dρ/ds = (k²/2i)[G, ρ]_⋆; the trace is conserved to 1e-8."""
     grid = rho.grid
+    k = _coerce_k(k)
     if rho.role != "density":
         raise ValidationError("liouville_evolve expects a density")
     _stability_guard(G, grid, cfg)

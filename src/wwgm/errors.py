@@ -3,11 +3,13 @@
 Two failure classes are distinguished deliberately: rejected inputs
 (contract violations, caught before any numerics run) and accuracy
 failures (numerics ran but missed a guaranteed tolerance). The CLI maps
-them to exit codes 2 and 3.
+them to exit codes 2 and 3. `_number` turns a config value into a number
+or rejects it, so a value of the wrong type is a rejected input too.
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 
@@ -28,3 +30,16 @@ class ValidationError(WWGMError):
 
 class AccuracyError(WWGMError):
     """Computation ran but a promised tolerance or conservation law failed."""
+
+
+def _number(value, name: str, integer: bool = False):
+    """Config value `value` of field `name` as a float, or as an int with
+    `integer`. Booleans, strings and other non-numbers, and for integer fields
+    non-integral numbers, raise a ValidationError naming the field."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if ok and integer and not isinstance(value, numbers.Integral):
+        ok = float(value).is_integer()
+    if not ok:
+        kind = "an integer" if integer else "a number"
+        raise ValidationError(f"config field {name!r} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)

@@ -87,13 +87,15 @@ class ContractionParam:
     """Scaling parameter k of the classical-limit contraction, ħ fixed at 2."""
 
     k: float
-    hbar: float = 2.0
 
     def __post_init__(self):
         if not (np.isfinite(self.k) and self.k > 0):
             raise ValidationError(f"contraction parameter k={self.k} must be finite and > 0")
-        if self.hbar != 2.0:
-            raise ValidationError("hbar is fixed at 2 in these units")
+
+
+def _coerce_k(k) -> float:
+    """k as a float, from a number or a ContractionParam, under ContractionParam's rule."""
+    return ContractionParam(float(getattr(k, "k", k))).k
 
 
 def contract_coordinates(g: GroupElement, kp: ContractionParam) -> GroupElement:

@@ -29,9 +29,9 @@ from .errors import ValidationError
 
 ROLES = ("wavefunction", "observable", "density")
 
-#: minimum clearance (in Gaussian widths) between a coherent label and the
-#: box edge; 7 widths put the edge value of a unit Gaussian at e^(-24.5),
-#: below the 1e-10 boundary-decay requirement (6 widths would not)
+#: minimum clearance between a coherent label and the box edge, in widths of
+#: the state itself (1/k for a contracted state); 7 widths put the edge value
+#: at e^(-24.5), below the 1e-10 boundary-decay requirement (6 would not)
 LABEL_MARGIN = 7.0
 
 #: wavefunction boundary decay requirement: edge magnitude / max magnitude
@@ -260,27 +260,32 @@ def _require_boundary_decay(f: PhaseFunction) -> None:
 # coherent states and the inner product
 # ---------------------------------------------------------------------------
 
-def check_label_margin(label: CoherentLabel, grid: PhaseGrid,
-                       margin: float = LABEL_MARGIN) -> None:
+def _coherent_gaussian(label: CoherentLabel, grid: PhaseGrid, k: float) -> PhaseFunction:
+    """Coherent Gaussian of width 1/k at `label`, with phases scaled by k²,
+
+        exp(i k²(p_a·x − x_a·p)) exp(−(k²/2)[(p−p_a)² + (x−x_a)²]),
+
+    after checking that the label keeps LABEL_MARGIN widths 1/k of clearance."""
     if label.n != grid.n:
         raise ValidationError("label dimension does not match grid")
     worst = max(float(np.max(np.abs(label.p))), float(np.max(np.abs(label.x))))
-    if worst + margin > grid.L:
+    if worst + LABEL_MARGIN / k > grid.L:
         raise ValidationError(
-            f"label magnitude {worst:g} leaves less than {margin:g} widths of "
-            f"clearance inside the box (L={grid.L:g})")
-
-
-def coherent_state(label: CoherentLabel, grid: PhaseGrid) -> PhaseFunction:
-    """Unit-width coherent Gaussian at `label`, normalized under inner()."""
-    check_label_margin(label, grid)
+            f"label magnitude {worst:g} leaves less than {LABEL_MARGIN:g} state widths "
+            f"({LABEL_MARGIN / k:g}) of clearance inside the box (L={grid.L:g})")
+    k2 = k * k
     phase = np.zeros((), dtype=np.complex128)
     gauss = np.zeros((), dtype=np.float64)
     for i in range(grid.n):
         P, X = grid.p_field(i), grid.x_field(i)
-        phase = phase + 1j * (label.p[i] * X - label.x[i] * P)
-        gauss = gauss - 0.5 * ((P - label.p[i]) ** 2 + (X - label.x[i]) ** 2)
+        phase = phase + 1j * k2 * (label.p[i] * X - label.x[i] * P)
+        gauss = gauss - 0.5 * k2 * ((P - label.p[i]) ** 2 + (X - label.x[i]) ** 2)
     return PhaseFunction(grid, np.exp(phase + gauss), role="wavefunction")
+
+
+def coherent_state(label: CoherentLabel, grid: PhaseGrid) -> PhaseFunction:
+    """Unit-width coherent Gaussian at `label`, normalized under inner()."""
+    return _coherent_gaussian(label, grid, 1.0)
 
 
 def inner(phi: PhaseFunction, psi: PhaseFunction) -> complex:
@@ -289,10 +294,6 @@ def inner(phi: PhaseFunction, psi: PhaseFunction) -> complex:
         raise ValidationError("grid mismatch")
     g = phi.grid
     return complex(np.sum(np.conj(phi.values) * psi.values) * g.weight / np.pi ** g.n)
-
-
-def norm(phi: PhaseFunction) -> float:
-    return float(np.sqrt(abs(inner(phi, phi))))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +373,14 @@ def load_phase_function(path, role: str = "observable") -> PhaseFunction:
     return PhaseFunction(grid, values.astype(np.complex128), role=role)
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Header line, then one line of comma-separated %.17g values per row."""
+    fmt = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(fmt % tuple(row) for row in rows)
+
+
 def export_csv(phi: PhaseFunction, path) -> None:
     """Plot-ready dump: one row per grid point, columns (p…, x…, re, im)."""
     g = phi.grid
@@ -382,8 +391,4 @@ def export_csv(phi: PhaseFunction, path) -> None:
                           + [f"x{i + 1}" for i in range(g.n)]) + ",re,im"
     grids = np.meshgrid(*([g.axis] * 2 * g.n), indexing="ij")
     cols = [m.ravel() for m in grids] + [phi.values.real.ravel(), phi.values.imag.ravel()]
-    lines = [header]
-    for row in zip(*cols):
-        lines.append(",".join("%.17g" % v for v in row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_csv(path, header, zip(*cols))

@@ -25,14 +25,16 @@ Three evaluation strategies share this definition:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import groupby
 from itertools import product as iter_product
+from operator import itemgetter
 
 import numpy as np
 
-from ._poly import PhasePolynomial, poisson_poly, star_poly, _multi_indices
+from ._poly import PhasePolynomial, _moyal_terms, poisson_poly, star_poly
 from .errors import AccuracyError, ValidationError
+from .heisenberg_group import _coerce_k
 from .phase_space import DENSITY_IMAG_TOL, PhaseFunction, PhaseGrid, inner
 
 HBAR = 2.0
@@ -54,34 +56,6 @@ class StarMethod:
 
 SERIES = StarMethod("series")
 SPECTRAL = StarMethod("spectral")
-
-
-@dataclass(frozen=True)
-class EffectivePlanck:
-    """ħ_eff = ħ/k² = 2/k²; equals 2 exactly at k = 1."""
-
-    k: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.k) and self.k > 0):
-            raise ValidationError(f"k={self.k} must be finite and positive")
-
-    @property
-    def hbar_eff(self) -> float:
-        return HBAR / self.k ** 2
-
-    @property
-    def c(self) -> float:
-        """Bidifferential prefactor ħ_eff/2 = 1/k²."""
-        return 1.0 / self.k ** 2
-
-
-def _coerce_k(k) -> float:
-    # accepts plain floats or a ContractionParam-like object with .k
-    kval = float(getattr(k, "k", k))
-    if not (np.isfinite(kval) and kval > 0):
-        raise ValidationError(f"k={kval} must be finite and positive")
-    return kval
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +128,15 @@ class _Derivs:
 
 def _series_terms(alpha: PhaseFunction, beta: PhaseFunction, c: float, max_order: int):
     """Yield (m, term_values) of the bidifferential expansion through max_order."""
-    n = alpha.grid.n
     da, db = _Derivs(alpha), _Derivs(beta)
-    for m in range(max_order + 1):
-        pref = (-1j * c) ** m
+    for m, group in groupby(_moyal_terms(alpha.grid.n, max_order, c), key=itemgetter(0)):
         term = np.zeros(alpha.grid.shape, dtype=np.complex128)
-        for rtot in range(m + 1):
-            stot = m - rtot
-            for r in _multi_indices(n, rtot):
-                for s in _multi_indices(n, stot):
-                    oa = r + s            # ∂_p^r ∂_x^s on alpha
-                    ob = s + r            # ∂_p^s ∂_x^r on beta
-                    if da.vanishes(oa) or db.vanishes(ob):
-                        continue
-                    fact = math.prod(math.factorial(v) for v in r + s)
-                    term += (pref * (-1) ** stot / fact) * da.get(oa) * db.get(ob)
+        for _m, coef, r, s in group:
+            oa = r + s            # ∂_p^r ∂_x^s on alpha
+            ob = s + r            # ∂_p^s ∂_x^r on beta
+            if da.vanishes(oa) or db.vanishes(ob):
+                continue
+            term += coef * da.get(oa) * db.get(ob)
         yield m, term
 
 

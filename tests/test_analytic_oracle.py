@@ -1,13 +1,11 @@
 """The closed-form reference layer, pinned against hand-derived values."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
 from wwgm.analytic_oracle import (
-    evaluate,
     oracle_coherent_overlap,
     oracle_coherent_star,
     oracle_contracted_overlap,
@@ -100,14 +98,6 @@ def test_coherent_star_reduces_to_vacuum():
     f = oracle_coherent_star((0.0, 0.0), (0.0, 0.0))
     assert f(0.0, 0.0) == pytest.approx(0.5)
     assert f(1.0, 0.0) == pytest.approx(0.5 * math.exp(-0.5))
-
-
-def test_evaluate_wrapper():
-    res = evaluate("coherent_overlap", a=([0.0], [0.0]), b=([1.0], [0.0]))
-    assert res.name == "coherent_overlap"
-    assert res.value == pytest.approx(cmath.exp(complex(-0.5, 0.0)))
-    with pytest.raises(ValueError):
-        evaluate("nope")
 
 
 def test_oracle_values_have_no_grid_inputs():

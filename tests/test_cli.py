@@ -216,11 +216,37 @@ def test_main_validation_error_exit_code(tmp_path, capsys):
     assert record["error"] == "ValidationError"
 
 
+_SMALL = {"n": 1, "N": 64, "L": 8.0}
+_HEIS = {"kind": "evolve", "picture": "heisenberg", "hamiltonian": "harmonic",
+         "observable": "x", "grid": _SMALL, "dt": 1e-3, "steps": 2}
+_OVERLAP = {"kind": "sweep-k", "sweep": "overlap", "label": {"p": [0.0], "x": [0.0]},
+            "label_b": {"p": [0.5], "x": [0.0]}, "grid": {"n": 1, "N": 1024, "L": 8.0}}
+_STAR_CHECK = {"kind": "star-check", "grid": _SMALL}
+
+
 @pytest.mark.parametrize("config, extra_args, needle", [
     ({"kind": "sweep-k", "sweep": "theta", "k_values": [1, 2, 4, 8]}, ["--k", "abc"], "abc"),
     ({"kind": "coherent", "grid": 5, "label": {"p": [0.0], "x": [0.0]}}, [], "'grid'"),
     ({"kind": "coherent", "label": {"p": [0.0]}}, [], "['x']"),
-], ids=["k-not-numeric", "grid-not-an-object", "label-without-x"])
+    ({"kind": "coherent", "grid": {"N": "abc"}, "label": {"p": [0.0], "x": [0.0]}}, [],
+     "'grid.N'"),
+    ({**_HEIS, "k": "abc"}, [], "'k'"),
+    ({**_STAR_CHECK, "k": "abc"}, [], "'k'"),
+    ({**_OVERLAP, "k_values": [1, 2, "a", 8]}, [], "'k_values'"),
+    ({"kind": "coset", "k_values": ["a"], "coset": {"omega": [[0.0]], "pbar": [1.0]}}, [],
+     "'k_values'"),
+    ({**_HEIS, "dt": "x"}, [], "'dt'"),
+    ({**_STAR_CHECK, "star_method": {"order": "x"}}, [], "'star_method.order'"),
+    ({**_STAR_CHECK, "observable_params": {"sigma": "x"}}, [], "'observable_params.sigma'"),
+    ({**_HEIS, "hamiltonian": "free", "mass": "abc"}, [], "'mass'"),
+    ({**_HEIS, "save_every": "x"}, [], "'save_every'"),
+    ({**_HEIS, "steps": 2.7}, [], "'steps'"),
+    ({**_HEIS, "k": 0}, [], "k=0.0"),
+    ({**_OVERLAP, "k_values": [1, 2, 4, math.nan]}, [], "k=nan"),
+], ids=["k-not-numeric", "grid-not-an-object", "label-without-x", "grid-N-string",
+        "evolve-k-string", "star-check-k-string", "k-values-string", "coset-k-values-string",
+        "dt-string", "order-string", "sigma-string", "mass-string", "save-every-string",
+        "steps-fractional", "evolve-k-zero", "k-values-nan"])
 def test_main_malformed_config_exit_code(tmp_path, capsys, config, extra_args, needle):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "o")}))
@@ -230,6 +256,16 @@ def test_main_malformed_config_exit_code(tmp_path, capsys, config, extra_args, n
     record = json.loads(err[0])
     assert record["error"] == "ValidationError"
     assert needle in record["message"]
+
+
+def test_star_check_method_agreement_sees_an_underresolved_grid(tmp_path, capsys):
+    # a sigma = 0.25 Gaussian at N=64 is too coarse for the spectral derivative of
+    # the series path, so it misses the closed form of x * g by far more than 1e-6
+    path = write_config(tmp_path, kind="star-check", grid={"n": 1, "N": 64, "L": 8.0},
+                        observable_params={"sigma": 0.25}, out_dir=str(tmp_path / "o"))
+    assert main(["star-check", "--config", str(path)]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["report"]["method_agreement"] > 1e-6
 
 
 def test_main_kind_mismatch(tmp_path, capsys):

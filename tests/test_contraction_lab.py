@@ -9,6 +9,7 @@ from wwgm import (
     AccuracyError,
     CoherentLabel,
     CosetAlgebraParams,
+    EvolutionConfig,
     PhaseFunction,
     PhaseGrid,
     SweepSpec,
@@ -19,8 +20,11 @@ from wwgm import (
     contracted_overlap,
     contracted_overlap_numeric,
     fit_loglog,
+    harmonic_generator,
+    heisenberg_evolve,
     left_operator_limit,
     left_operator_sweep,
+    liouville_evolve,
     overlap_decay_sweep,
     product_commutativization,
     theta_decoupling_scan,
@@ -92,6 +96,34 @@ def test_resolution_guard(sweep_grid):
 def test_contracted_margin_guard(sweep_grid):
     with pytest.raises(ValidationError):
         contracted_coherent_state(CoherentLabel([7.5], [0.0]), 8.0, sweep_grid)
+
+
+def test_contracted_margin_is_seven_state_widths(sweep_grid):
+    # 6.275 + 7/4 > 8: refused, though 6 widths (6.275 + 6/4 < 8) would pass
+    with pytest.raises(ValidationError, match="7 state widths"):
+        contracted_coherent_state(CoherentLabel([0.0], [6.275]), 4.0, sweep_grid)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("entry", ["heisenberg_evolve", "liouville_evolve",
+                                   "contracted_coherent_state", "SweepSpec",
+                                   "contracted_overlap"])
+def test_every_k_entry_rejects_bad_k(entry, k):
+    grid = PhaseGrid(1, 64, 8.0)
+    label = CoherentLabel([0.0], [0.0])
+    ev = EvolutionConfig(dt=1e-3, steps=1)
+    calls = {
+        "heisenberg_evolve": lambda: heisenberg_evolve(
+            make_observable("x", grid), harmonic_generator(), ev, k=k),
+        "liouville_evolve": lambda: liouville_evolve(
+            make_observable("gaussian", grid).with_role("density"),
+            harmonic_generator(), ev, k=k),
+        "contracted_coherent_state": lambda: contracted_coherent_state(label, k, grid),
+        "SweepSpec": lambda: SweepSpec((1.0, 2.0, 4.0, 8.0, k), grid),
+        "contracted_overlap": lambda: contracted_overlap(label, label, k),
+    }
+    with pytest.raises(ValidationError, match="contraction parameter"):
+        calls[entry]()
 
 
 def test_overlap_decay_sweep(spec):

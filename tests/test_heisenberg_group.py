@@ -101,8 +101,6 @@ def test_contraction_param_guards():
         ContractionParam(0.0)
     with pytest.raises(ValidationError):
         ContractionParam(-1.0)
-    with pytest.raises(ValidationError):
-        ContractionParam(1.0, hbar=1.0)
 
 
 # --------------------------------------------------------------------- cosets

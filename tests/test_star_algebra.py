@@ -6,7 +6,6 @@ import pytest
 from wwgm import (
     AccuracyError,
     CoherentLabel,
-    EffectivePlanck,
     PhaseFunction,
     PhaseGrid,
     PhasePolynomial,
@@ -298,14 +297,6 @@ def test_star_rejects_undecayed_wavefunction(grid):
     g = make_observable("gaussian", grid, {"sigma": 1.0})
     with pytest.raises(ValidationError):
         star(leaky, g, SPEC)
-
-
-def test_effective_planck():
-    assert EffectivePlanck(1.0).hbar_eff == 2.0
-    assert EffectivePlanck(2.0).hbar_eff == 0.5
-    assert EffectivePlanck(2.0).c == 0.25
-    with pytest.raises(ValidationError):
-        EffectivePlanck(0.0)
 
 
 # ---------------------------------------------------------------- 2d algebra
