@@ -3,6 +3,8 @@
 All grid functions are smooth and either boundary-decayed (Gaussian class)
 or genuinely periodic (plane waves), so trigonometric interpolation is
 exact to machine precision and these helpers inherit that accuracy.
+Derivatives, translations and the mixed-space star multipliers are all
+Fourier multipliers, applied by `_apply`.
 """
 
 from __future__ import annotations
@@ -10,17 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 
-def derivative(values: np.ndarray, freqs: np.ndarray, axis: int) -> np.ndarray:
-    """Spectral ∂/∂(axis coordinate)."""
-    shape = [1] * values.ndim
-    shape[axis] = len(freqs)
-    mult = (1j * freqs).reshape(shape)
-    return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
+def _apply(values: np.ndarray, mult: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Fourier multiplier: ifftn(mult · fftn(values)) over `axes`; `mult` is
+    indexed by DFT frequency along those axes and broadcasts over the rest."""
+    return np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
 
 
-def shift(values: np.ndarray, freqs: np.ndarray, axis: int, amount: float) -> np.ndarray:
-    """Band-limited translate: result(t) = values(t − amount)."""
-    shape = [1] * values.ndim
-    shape[axis] = len(freqs)
-    ramp = np.exp(-1j * freqs * amount).reshape(shape)
-    return np.fft.ifft(ramp * np.fft.fft(values, axis=axis), axis=axis)
+def derivative(values: np.ndarray, grid, axis: int) -> np.ndarray:
+    """Spectral ∂/∂(axis coordinate) on `grid`."""
+    return _apply(values, 1j * grid.freq_fields[axis], (axis,))

@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .dynamics import (
     liouville_evolve,
     schrodinger_evolve,
 )
-from .errors import AccuracyError, ValidationError, WWGMError, _number
+from .errors import AccuracyError, ValidationError, WWGMError, _number, _vector
 from .heisenberg_group import (
     ContractionParam,
     CosetAlgebraParams,
@@ -64,13 +64,6 @@ KINDS = ("coherent", "star-check", "evolve", "sweep-k", "coset")
 PICTURES = ("schrodinger", "heisenberg", "liouville",
             "classical-liouville", "classical-heisenberg")
 SWEEPS = ("overlap", "left-operator", "commutativization", "bracket", "theta")
-
-_KNOWN_KEYS = {
-    "kind", "grid", "label", "label_b", "observable", "observable_b",
-    "observable_params", "hamiltonian", "mass", "picture", "dt", "steps",
-    "save_every", "k", "k_values", "sweep", "star_method", "coset",
-    "out_dir",
-}
 
 #: closed key sets of the nested config blocks; `point` nests inside `coset`
 _BLOCK_KEYS = {
@@ -132,7 +125,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - _KNOWN_KEYS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         if "kind" not in data:
@@ -166,7 +159,7 @@ class ExperimentConfig:
         missing = {"p", "x"} - set(raw)
         if missing:
             raise ValidationError(f"{which!r} must set {sorted(missing)}")
-        return CoherentLabel(raw["p"], raw["x"])
+        return CoherentLabel(_vector(raw["p"], f"{which}.p"), _vector(raw["x"], f"{which}.x"))
 
     def make_generator(self):
         if self.hamiltonian == "harmonic":
@@ -311,7 +304,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> list[str]:
     grid = cfg.make_grid()
     if cfg.k_values is None:
         raise ValidationError("sweep-k requires k_values")
-    spec = SweepSpec(tuple(_number(v, "k_values") for v in cfg.k_values), grid)
+    spec = SweepSpec(tuple(_vector(cfg.k_values, "k_values")), grid)
     mode = cfg.sweep
     if mode is None:
         raise ValidationError("sweep-k requires 'sweep'")
@@ -352,21 +345,27 @@ def _coset_from_config(cfg: ExperimentConfig):
     raw = cfg.coset
     if raw is None:
         raise ValidationError("this experiment requires a 'coset' block")
+    omega = raw.get("omega", [[0.0]])
+    if not (isinstance(omega, list) and omega
+            and all(isinstance(row, list) and len(row) == len(omega) for row in omega)):
+        raise ValidationError(f"config field 'coset.omega' must be a square list of rows, "
+                              f"got {omega!r}")
     params = CosetAlgebraParams(
-        omega=np.asarray(raw.get("omega", [[0.0]]), dtype=float),
-        pbar=raw.get("pbar", [0.0]),
-        xbar=raw.get("xbar", [0.0]),
+        omega=np.asarray([_vector(row, "coset.omega") for row in omega]),
+        pbar=_vector(raw.get("pbar", [0.0]), "coset.pbar"),
+        xbar=_vector(raw.get("xbar", [0.0]), "coset.xbar"),
         thetabar=_number(raw.get("thetabar", 0.0), "coset.thetabar"),
     )
     pt = raw.get("point", {})
-    point = (pt.get("p", [0.0] * params.n), pt.get("x", [0.0] * params.n),
+    point = (_vector(pt.get("p", [0.0] * params.n), "coset.point.p"),
+             _vector(pt.get("x", [0.0] * params.n), "coset.point.x"),
              _number(pt.get("theta", 0.0), "coset.point.theta"))
     return params, point
 
 
 def _run_coset(cfg: ExperimentConfig, out: Path) -> list[str]:
     params, point = _coset_from_config(cfg)
-    ks = [_number(v, "k_values") for v in cfg.k_values] if cfg.k_values else [_number(cfg.k, "k")]
+    ks = _vector(cfg.k_values, "k_values") if cfg.k_values else [_number(cfg.k, "k")]
     n = params.n
 
     head = (["k"] + [f"p{i+1}" for i in range(n)] + [f"x{i+1}" for i in range(n)]
@@ -446,15 +445,9 @@ def main(argv=None) -> int:
         if args.steps:
             cfg.steps = args.steps
         return run(cfg)
-    except ValidationError as exc:
-        print(json.dumps(exc.record()), file=sys.stderr)
-        return 2
-    except AccuracyError as exc:
-        print(json.dumps(exc.record()), file=sys.stderr)
-        return 3
     except WWGMError as exc:
         print(json.dumps(exc.record()), file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, AccuracyError) else 2
 
 
 if __name__ == "__main__":

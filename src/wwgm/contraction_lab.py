@@ -214,8 +214,8 @@ def left_operator_limit(k: float, probe: PhaseFunction, axis: int = 0) -> dict:
     base = math.sqrt(float(np.sum(np.abs(probe.values) ** 2)))
     if base == 0:
         raise ValidationError("probe is identically zero")
-    dx_res = (1.0 / k ** 2) * derivative(probe.values, g.freqs, axis=g.n + axis)
-    dp_res = (1.0 / k ** 2) * derivative(probe.values, g.freqs, axis=axis)
+    dx_res = (1.0 / k ** 2) * derivative(probe.values, g, axis=g.n + axis)
+    dp_res = (1.0 / k ** 2) * derivative(probe.values, g, axis=axis)
     return {
         "k": k,
         "residual_x": math.sqrt(float(np.sum(np.abs(dp_res) ** 2))) / base,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._poly import PhasePolynomial, poisson_poly, star_poly
-from ._spectral import derivative
+from ._spectral import _apply, derivative
 from .errors import AccuracyError, ValidationError
 from .heisenberg_group import _coerce_k
 from .phase_space import PhaseFunction, PhaseGrid, _write_csv, inner
@@ -187,9 +187,7 @@ class _LeftStar:
         args = list(g.fields)
         mask = np.ones((), dtype=float)
         for coord, ax in zip(coords, freq_axes):
-            shp = [1] * (2 * g.n)
-            shp[ax] = g.N
-            freqs = g.freqs.reshape(shp)
+            freqs = g.freq_fields[ax]
             args[coord] = g.fields[coord] + sign * self.c * freqs
             mask = mask * (np.abs(freqs) <= cut)
         return poly.evaluate(args) * mask
@@ -210,7 +208,7 @@ class _LeftStar:
             return star(self.G_field, f, k=self.c ** -0.5).values
         out = np.zeros(self.grid.shape, dtype=np.complex128)
         for mult, axes in self._mults:
-            out += np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
+            out += _apply(values, mult, axes)
         return out
 
     def commutator(self, values: np.ndarray) -> np.ndarray:
@@ -238,7 +236,7 @@ class _PoissonFlow:
         g = self.grid
         out = np.zeros(g.shape, dtype=np.complex128)
         for field, axis in self.terms:
-            out += field * derivative(values, g.freqs, axis=axis)
+            out += field * derivative(values, g, axis=axis)
         return out
 
     @property
@@ -379,7 +377,7 @@ def liouville_evolve(rho: PhaseFunction, G: HamiltonianGenerator,
     factor = k ** 2 / 2j
     trace_w = grid.weight / (2.0 ** (2 * grid.n) * np.pi ** grid.n)
     measure = lambda v: float(np.real(np.sum(v))) * trace_w
-    energy = lambda v: float(np.real(np.sum(G.make(grid).values * v)) * trace_w)
+    energy = lambda v: float(np.real(np.sum(lstar.G_field.values * v)) * trace_w)
     tr0 = measure(rho.values)
     traj = Trajectory("liouville")
     _run_evolution(rho.values, lambda v: factor * lstar.commutator(v), cfg, save_every,
@@ -451,7 +449,7 @@ def tilde_apply(which: str, alpha: PhaseFunction, axis: int = 0) -> PhaseFunctio
         dpoly = alpha.poly.diff_x(axis) if which == "p" else alpha.poly.diff_p(axis)
         return PhaseFunction.from_poly(g, dpoly * 2j, role=alpha.role)
     ax = g.n + axis if which == "p" else axis
-    vals = 2j * derivative(alpha.values, g.freqs, axis=ax)
+    vals = 2j * derivative(alpha.values, g, axis=ax)
     return PhaseFunction(g, vals, role=alpha.role, _checked=True)
 
 

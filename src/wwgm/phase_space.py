@@ -17,6 +17,7 @@ spectral, so Gaussian-class states are handled at machine precision.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from ._poly import PhasePolynomial
-from ._spectral import derivative, shift
+from ._spectral import _apply, derivative
 from .errors import ValidationError
 
 ROLES = ("wavefunction", "observable", "density")
@@ -80,6 +81,11 @@ class PhaseGrid:
         """Broadcastable coordinate fields in axis order (p₁..pₙ, x₁..xₙ)."""
         return tuple(np.meshgrid(*([self.axis] * 2 * self.n), indexing="ij", sparse=True))
 
+    @cached_property
+    def freq_fields(self) -> tuple[np.ndarray, ...]:
+        """Broadcastable frequency fields in axis order, the spectral twin of `fields`."""
+        return tuple(np.meshgrid(*([self.freqs] * 2 * self.n), indexing="ij", sparse=True))
+
     def p_field(self, i: int = 0) -> np.ndarray:
         return self.fields[i]
 
@@ -119,9 +125,6 @@ class CoherentLabel:
     @property
     def n(self) -> int:
         return len(self.p)
-
-    def scaled(self, factor: float) -> "CoherentLabel":
-        return CoherentLabel(factor * self.p, factor * self.x)
 
 
 class PhaseFunction:
@@ -265,7 +268,8 @@ def _coherent_gaussian(label: CoherentLabel, grid: PhaseGrid, k: float) -> Phase
 
         exp(i k²(p_a·x − x_a·p)) exp(−(k²/2)[(p−p_a)² + (x−x_a)²]),
 
-    after checking that the label keeps LABEL_MARGIN widths 1/k of clearance."""
+    built as a product of 2n broadcast 1-D factors, after checking that the
+    label keeps LABEL_MARGIN widths 1/k of clearance."""
     if label.n != grid.n:
         raise ValidationError("label dimension does not match grid")
     worst = max(float(np.max(np.abs(label.p))), float(np.max(np.abs(label.x))))
@@ -274,13 +278,12 @@ def _coherent_gaussian(label: CoherentLabel, grid: PhaseGrid, k: float) -> Phase
             f"label magnitude {worst:g} leaves less than {LABEL_MARGIN:g} state widths "
             f"({LABEL_MARGIN / k:g}) of clearance inside the box (L={grid.L:g})")
     k2 = k * k
-    phase = np.zeros((), dtype=np.complex128)
-    gauss = np.zeros((), dtype=np.float64)
+    factors = []
     for i in range(grid.n):
         P, X = grid.p_field(i), grid.x_field(i)
-        phase = phase + 1j * k2 * (label.p[i] * X - label.x[i] * P)
-        gauss = gauss - 0.5 * k2 * ((P - label.p[i]) ** 2 + (X - label.x[i]) ** 2)
-    return PhaseFunction(grid, np.exp(phase + gauss), role="wavefunction")
+        factors.append(np.exp(1j * k2 * label.p[i] * X - 0.5 * k2 * (X - label.x[i]) ** 2))
+        factors.append(np.exp(-1j * k2 * label.x[i] * P - 0.5 * k2 * (P - label.p[i]) ** 2))
+    return PhaseFunction(grid, math.prod(factors), role="wavefunction")
 
 
 def coherent_state(label: CoherentLabel, grid: PhaseGrid) -> PhaseFunction:
@@ -304,7 +307,7 @@ def apply_XL(phi: PhaseFunction, axis: int = 0) -> PhaseFunction:
     """X^L φ = (x + i ∂_p) φ along the given spatial axis."""
     g = phi.grid
     vals = g.x_field(axis) * phi.values \
-        + 1j * derivative(phi.values, g.freqs, axis=axis)
+        + 1j * derivative(phi.values, g, axis=axis)
     return PhaseFunction(g, vals, role=phi.role, _checked=True)
 
 
@@ -312,7 +315,7 @@ def apply_PL(phi: PhaseFunction, axis: int = 0) -> PhaseFunction:
     """P^L φ = (p − i ∂_x) φ along the given spatial axis."""
     g = phi.grid
     vals = g.p_field(axis) * phi.values \
-        - 1j * derivative(phi.values, g.freqs, axis=g.n + axis)
+        - 1j * derivative(phi.values, g, axis=g.n + axis)
     return PhaseFunction(g, vals, role=phi.role, _checked=True)
 
 
@@ -328,10 +331,8 @@ def translate(phi: PhaseFunction, p, x) -> PhaseFunction:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if len(p) != g.n or len(x) != g.n:
         raise ValidationError("shift vector dimension does not match grid")
-    vals = phi.values
-    for i in range(g.n):
-        vals = shift(vals, g.freqs, axis=i, amount=p[i])
-        vals = shift(vals, g.freqs, axis=g.n + i, amount=x[i])
+    shift = math.prod(np.exp(-1j * mu * a) for mu, a in zip(g.freq_fields, np.concatenate([p, x])))
+    vals = _apply(phi.values, shift, tuple(range(2 * g.n)))
     ramp = np.zeros((), dtype=np.complex128)
     for i in range(g.n):
         ramp = ramp + 1j * (p[i] * g.x_field(i) - x[i] * g.p_field(i))

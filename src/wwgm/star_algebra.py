@@ -114,9 +114,7 @@ class _Derivs:
         mult = np.ones((), dtype=np.complex128)
         for ax, m in enumerate(orders):
             if m:
-                shape = [1] * (2 * self.grid.n)
-                shape[ax] = self.grid.N
-                mult = mult * (1j * self.grid.freqs).reshape(shape) ** m
+                mult = mult * (1j * self.grid.freq_fields[ax]) ** m
         vals = np.fft.ifftn(mult * self._spectrum)
         self._grid_cache[orders] = vals
         return vals
@@ -204,19 +202,14 @@ _NEGLIGIBLE = 1e-18  # relative mode-amplitude cutoff; below double roundoff
 def _star_spectral(alpha: np.ndarray, beta: np.ndarray, grid: PhaseGrid,
                    c: float) -> np.ndarray:
     n, N = grid.n, grid.N
-    freqs = grid.freqs
+    freqs, mu = grid.freqs, grid.freq_fields
     p_axes, x_axes = grid.p_axes(), grid.x_axes()
 
     A = np.fft.fftn(alpha) / N ** (2 * n)
     bhat_p = np.fft.fftn(beta, axes=p_axes)
 
     # chirp couplers e^{i c λ_{p_i} μ_{x_i}}, broadcast over (axis i, axis n+i)
-    chirps = []
-    for i in range(n):
-        shape = [1] * (2 * n)
-        shape[i] = N
-        shape[n + i] = N
-        chirps.append(np.exp(1j * c * np.outer(freqs, freqs)).reshape(shape))
+    chirps = [np.exp(1j * c * (mu[i] * mu[n + i])) for i in range(n)]
 
     cutoff = _NEGLIGIBLE * float(np.max(np.abs(A))) if A.size else 0.0
     out = np.zeros(grid.shape, dtype=np.complex128)
@@ -230,9 +223,7 @@ def _star_spectral(alpha: np.ndarray, beta: np.ndarray, grid: PhaseGrid,
         # second factor shifted in every p axis by c·λ_x
         ramp = np.zeros((), dtype=np.complex128)
         for i in range(n):
-            shp = [1] * (2 * n)
-            shp[i] = N
-            ramp = ramp + (-1j * c * lx[i]) * freqs.reshape(shp)
+            ramp = ramp + (-1j * c * lx[i]) * mu[i]
         bs = np.fft.ifftn(bhat_p * np.exp(ramp), axes=p_axes)
         B = np.fft.fftn(bs, axes=x_axes)
         # C(p, μ_x) = Σ_{λ_p} A e^{i c λ_p μ_x} e^{i λ_p (p+L)}, built per axis
@@ -242,9 +233,7 @@ def _star_spectral(alpha: np.ndarray, beta: np.ndarray, grid: PhaseGrid,
         T = np.fft.ifftn(C * B, axes=x_axes)
         phase = np.zeros((), dtype=np.complex128)
         for i in range(n):
-            shp = [1] * (2 * n)
-            shp[n + i] = N
-            phase = phase + 1j * lx[i] * (grid.axis + grid.L).reshape(shp)
+            phase = phase + 1j * lx[i] * (grid.fields[n + i] + grid.L)
         out += np.exp(phase) * T
     return out
 

@@ -222,6 +222,7 @@ _HEIS = {"kind": "evolve", "picture": "heisenberg", "hamiltonian": "harmonic",
 _OVERLAP = {"kind": "sweep-k", "sweep": "overlap", "label": {"p": [0.0], "x": [0.0]},
             "label_b": {"p": [0.5], "x": [0.0]}, "grid": {"n": 1, "N": 1024, "L": 8.0}}
 _STAR_CHECK = {"kind": "star-check", "grid": _SMALL}
+_COSET = {"kind": "coset", "coset": {"omega": [[0.0]], "pbar": [1.0]}}
 
 
 @pytest.mark.parametrize("config, extra_args, needle", [
@@ -242,11 +243,25 @@ _STAR_CHECK = {"kind": "star-check", "grid": _SMALL}
     ({**_HEIS, "save_every": "x"}, [], "'save_every'"),
     ({**_HEIS, "steps": 2.7}, [], "'steps'"),
     ({**_HEIS, "k": 0}, [], "k=0.0"),
-    ({**_OVERLAP, "k_values": [1, 2, 4, math.nan]}, [], "k=nan"),
+    ({**_OVERLAP, "k_values": [1, 2, 4, math.nan]}, [], "'k_values'"),
+    ({**_STAR_CHECK, "observable_params": {"sigma": math.nan}}, [], "'observable_params.sigma'"),
+    ({**_STAR_CHECK, "observable_params": {"p0": math.nan}}, [], "'observable_params.p0'"),
+    ({**_COSET, "coset": {**_COSET["coset"], "thetabar": math.nan}}, [], "'coset.thetabar'"),
+    ({"kind": "coherent", "label": {"p": ["a"], "x": [0.0]}}, [], "'label.p'"),
+    ({"kind": "coherent", "label": {"p": {"a": 1}, "x": [0.0]}}, [], "'label.p'"),
+    ({**_COSET, "coset": {**_COSET["coset"], "pbar": ["a"]}}, [], "'coset.pbar'"),
+    ({**_COSET, "coset": {**_COSET["coset"], "omega": [["a"]]}}, [], "'coset.omega'"),
+    ({**_COSET, "coset": {**_COSET["coset"], "omega": [0.0]}}, [], "'coset.omega'"),
+    ({**_COSET, "coset": {**_COSET["coset"], "point": {"x": ["a"]}}}, [], "'coset.point.x'"),
+    ({**_COSET, "coset": {**_COSET["coset"], "point": {"theta": math.inf}}}, [],
+     "'coset.point.theta'"),
+    ({**_OVERLAP, "k_values": 5}, [], "k-values"),
 ], ids=["k-not-numeric", "grid-not-an-object", "label-without-x", "grid-N-string",
         "evolve-k-string", "star-check-k-string", "k-values-string", "coset-k-values-string",
         "dt-string", "order-string", "sigma-string", "mass-string", "save-every-string",
-        "steps-fractional", "evolve-k-zero", "k-values-nan"])
+        "steps-fractional", "evolve-k-zero", "k-values-nan", "sigma-nan", "p0-nan",
+        "thetabar-nan", "label-p-string", "label-p-object", "pbar-string", "omega-string",
+        "omega-not-rows", "point-x-string", "theta-infinite", "k-values-number"])
 def test_main_malformed_config_exit_code(tmp_path, capsys, config, extra_args, needle):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "o")}))

@@ -22,6 +22,7 @@ from wwgm import (
     save_phase_function,
     translate,
 )
+from wwgm.phase_space import _coherent_gaussian
 
 
 def random_label(rng, n=1, bound=0.95):
@@ -49,6 +50,15 @@ def test_grid_validation():
         PhaseGrid(1, 8, 8.0)  # too small
     with pytest.raises(ValidationError):
         PhaseGrid(3, 16, 8.0)  # numerics capped at n=2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_freq_fields_are_the_frequencies_on_their_own_axis(n):
+    g = PhaseGrid(n, 16, 8.0)
+    assert len(g.freq_fields) == 2 * n
+    for ax, mu in enumerate(g.freq_fields):
+        assert mu.shape == tuple(g.N if a == ax else 1 for a in range(2 * n))
+        assert np.array_equal(mu.ravel(), g.freqs)
 
 
 # ------------------------------------------------------------ coherent states
@@ -217,6 +227,17 @@ def test_two_dimensional_translate_builds_coherent_state():
     got = translate(vac, a.p, a.x)
     want = coherent_state(a, g)
     assert np.max(np.abs(got.values - want.values)) < 1e-10
+
+
+def test_two_dimensional_contracted_gaussian_matches_closed_form():
+    g, k = PhaseGrid(2, 32, 8.0), 2.0
+    a = CoherentLabel([0.5, -1.0], [1.5, 0.25])
+    P1, P2, X1, X2 = np.meshgrid(*([g.axis] * 4), indexing="ij")
+    phase = 1j * k ** 2 * (a.p[0] * X1 + a.p[1] * X2 - a.x[0] * P1 - a.x[1] * P2)
+    gauss = -0.5 * k ** 2 * ((P1 - a.p[0]) ** 2 + (P2 - a.p[1]) ** 2
+                             + (X1 - a.x[0]) ** 2 + (X2 - a.x[1]) ** 2)
+    got = _coherent_gaussian(a, g, k)
+    assert np.max(np.abs(got.values - np.exp(phase + gauss))) < 1e-14
 
 
 # -------------------------------------------------------------- serialization
