@@ -365,7 +365,9 @@ def _coset_from_config(cfg: ExperimentConfig):
 
 def _run_coset(cfg: ExperimentConfig, out: Path) -> list[str]:
     params, point = _coset_from_config(cfg)
-    ks = _vector(cfg.k_values, "k_values") if cfg.k_values else [_number(cfg.k, "k")]
+    ks = [_number(cfg.k, "k")] if cfg.k_values is None else _vector(cfg.k_values, "k_values")
+    if not ks:
+        raise ValidationError("config field 'k_values' must list at least one k")
     n = params.n
 
     head = (["k"] + [f"p{i+1}" for i in range(n)] + [f"x{i+1}" for i in range(n)]
@@ -397,6 +399,9 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns 0 and writes artifacts + manifest."""
+    if not isinstance(cfg.out_dir, str) or not cfg.out_dir:
+        raise ValidationError(
+            f"config field 'out_dir' must name a directory, got {cfg.out_dir!r}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _RUNNERS[cfg.kind](cfg, out)
@@ -431,18 +436,18 @@ def main(argv=None) -> int:
         if cfg.kind != args.subcommand:
             raise ValidationError(
                 f"config kind {cfg.kind!r} does not match subcommand {args.subcommand!r}")
-        if args.out:
+        if args.out is not None:
             cfg.out_dir = args.out
-        if args.k:
+        if args.k is not None:
             try:
                 cfg.k_values = [float(v) for v in args.k.split(",")]
             except ValueError as exc:
                 raise ValidationError(f"--k must be comma-separated numbers: {exc}") from exc
-        if args.grid_n:
+        if args.grid_n is not None:
             cfg.grid["N"] = args.grid_n
-        if args.dt:
+        if args.dt is not None:
             cfg.dt = args.dt
-        if args.steps:
+        if args.steps is not None:
             cfg.steps = args.steps
         return run(cfg)
     except WWGMError as exc:

@@ -17,6 +17,10 @@ runner (global error O(dt⁴)), guarded by dt·‖G‖∞ ≤ 0.5. Each picture
 hands it a state (a grid array, or the coefficients of a polynomial
 observable, which evolve exactly), a right-hand side, a snapshot recorder
 and, where the picture has one, the invariant whose drift aborts the run.
+A grid state is stepped in place: the runner preallocates its working
+state and three stage buffers, each right-hand side writes into a buffer
+it is given, and the star operators keep their own scratch arrays, so a
+grid RK4 step allocates no full-grid array.
 Separable generators G = K(p) + V(x) are applied through mixed-space
 multipliers, K(p + cμ_x) and V(x − cμ_p), which star-multiply in
 O(N log N) per axis and are exact for band-limited states.
@@ -178,6 +182,10 @@ class _LeftStar:
                      (V, grid.x_axes(), grid.p_axes(), -1.0))
             self._mults = [(self._multiplier(poly, coords, axes, sign), axes)
                            for poly, coords, axes, sign in parts if not poly.is_zero]
+        #: scratch for one multiplier round trip, and for the conjugated
+        #: operand and product of the commutator
+        self._spec, self._conj, self._prod = (
+            np.empty(grid.shape, dtype=np.complex128) for _ in range(3))
 
     def _multiplier(self, poly: PhasePolynomial, coords, freq_axes, sign: float) -> np.ndarray:
         """poly with coordinate field coords[i] replaced by coords[i] + sign·c·μ,
@@ -202,18 +210,23 @@ class _LeftStar:
             rate += float(np.max(np.abs(mult)))
         return rate / HBAR
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
+    def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """G ⋆ values, written into `out`."""
         if self._mults is None:
-            f = PhaseFunction(self.grid, values, _checked=True)
-            return star(self.G_field, f, k=self.c ** -0.5).values
-        out = np.zeros(self.grid.shape, dtype=np.complex128)
+            # PhaseFunction freezes the array it wraps, so hand it a copy
+            f = PhaseFunction(self.grid, np.copy(values), _checked=True)
+            np.copyto(out, star(self.G_field, f, k=self.c ** -0.5).values)
+            return out
+        out.fill(0)
         for mult, axes in self._mults:
-            out += _apply(values, mult, axes)
+            np.add(out, _apply(values, mult, axes, self._spec), out=out)
         return out
 
-    def commutator(self, values: np.ndarray) -> np.ndarray:
-        """[G, v]_⋆ = G ⋆ v − v ⋆ G; uses v ⋆ G = conj(G ⋆ v̄) for real G."""
-        return self(values) - np.conj(self(np.conj(values)))
+    def commutator(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """[G, v]_⋆ = G ⋆ v − v ⋆ G into `out`; uses v ⋆ G = conj(G ⋆ v̄) for real G."""
+        self(values, out)
+        self(np.conj(values, out=self._conj), self._prod)
+        return np.subtract(out, np.conj(self._prod, out=self._prod), out=out)
 
 
 class _PoissonFlow:
@@ -231,12 +244,14 @@ class _PoissonFlow:
             for dG, axis in ((G.poly.diff_x(i), i), (-1.0 * G.poly.diff_p(i), grid.n + i)):
                 if not dG.is_zero:
                     self.terms.append((dG.evaluate(grid.fields), axis))
+        self._deriv = np.empty(grid.shape, dtype=np.complex128)
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        g = self.grid
-        out = np.zeros(g.shape, dtype=np.complex128)
+    def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """{G, values}, written into `out`."""
+        out.fill(0)
         for field, axis in self.terms:
-            out += field * derivative(values, g, axis=axis)
+            d = derivative(values, self.grid, axis=axis, out=self._deriv)
+            np.add(out, np.multiply(field, d, out=d), out=out)
         return out
 
     @property
@@ -274,14 +289,39 @@ def _rk4_step(y, rhs, dt):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_step_into(y, rhs, dt, acc, stage, k):
+    """_rk4_step on a grid array, in place: `rhs(v, out)` writes into `out`,
+    and `acc`, `stage` and `k` hold the running sum, the stage input and the
+    stage output. Every product and sum is _rk4_step's, with the same
+    operands in the same order, so the two agree bit for bit."""
+    rhs(y, k)
+    np.copyto(acc, k)
+    for i, h in enumerate((0.5 * dt, 0.5 * dt, dt)):
+        np.add(y, np.multiply(h, k, out=stage), out=stage)
+        if i:
+            np.add(acc, np.multiply(2.0, k, out=k), out=acc)
+        rhs(stage, k)
+    np.add(acc, k, out=acc)
+    return np.add(y, np.multiply(dt / 6.0, acc, out=acc), out=y)
+
+
 def _run_evolution(y0, rhs, cfg, save_every, record, conserve=None):
-    """March RK4 from y0, a grid array or a PhasePolynomial, recording
-    snapshots. `conserve` is (name, value0, tolerance, measure) for a
-    picture with an invariant to police after every step, None otherwise."""
+    """March RK4 from y0, recording snapshots. A PhasePolynomial y0 is
+    stepped by _rk4_step with rhs(q) -> q'. A grid array y0 is copied once
+    and stepped in place by _rk4_step_into with rhs(v, out), and each
+    snapshot gets a copy. `conserve` is (name, value0, tolerance, measure)
+    for a picture with an invariant to police after every step, None
+    otherwise."""
     record(0, y0)
-    y = y0
+    if isinstance(y0, PhasePolynomial):
+        y, snapshot = y0, lambda y: y
+        advance = lambda y: _rk4_step(y, rhs, cfg.dt)
+    else:
+        y, snapshot = np.array(y0, dtype=np.complex128), np.copy
+        bufs = [np.empty_like(y) for _ in range(3)]
+        advance = lambda y: _rk4_step_into(y, rhs, cfg.dt, *bufs)
     for step in range(1, cfg.steps + 1):
-        y = _rk4_step(y, rhs, cfg.dt)
+        y = advance(y)
         if conserve is not None:
             name, ref, tol, measure = conserve
             drift = abs(measure(y) - ref)
@@ -290,8 +330,7 @@ def _run_evolution(y0, rhs, cfg, save_every, record, conserve=None):
                     f"{name} drifted by {drift:.3e} (tolerance {tol:.0e}) at step {step}",
                     step=step, drift=drift)
         if (save_every and step % save_every == 0) or step == cfg.steps:
-            record(step, y)
-    return y
+            record(step, snapshot(y))
 
 
 def _recorder(traj, grid, dt, role, norm_of=None, energy_of=None):
@@ -326,11 +365,14 @@ def schrodinger_evolve(phi: PhaseFunction, G: HamiltonianGenerator,
     lstar = _LeftStar(G, grid, 1.0)
     _rate_guard(lstar.spectral_rate, cfg)
     factor = 1.0 / 2j
-    measure = lambda v: float(np.sum(np.abs(v) ** 2)) * grid.weight / np.pi ** grid.n
-    energy = lambda v: float(np.real(np.sum(np.conj(v) * lstar(v)))
+    sq = np.empty(grid.shape)  # |v|² scratch of the per-step norm check
+    measure = lambda v: float(np.sum(np.square(np.abs(v, out=sq), out=sq))) \
+        * grid.weight / np.pi ** grid.n
+    energy = lambda v: float(np.real(np.sum(np.conj(v) * lstar(v, np.empty_like(v))))
                              * grid.weight / np.pi ** grid.n)
     traj = Trajectory("schrodinger")
-    _run_evolution(phi.values, lambda v: factor * lstar(v), cfg, save_every,
+    rhs = lambda v, out: np.multiply(factor, lstar(v, out), out=out)
+    _run_evolution(phi.values, rhs, cfg, save_every,
                    _recorder(traj, grid, cfg.dt, "wavefunction", measure, energy),
                    ("norm", nrm0, NORM_DRIFT_TOL, measure))
     return traj
@@ -357,7 +399,7 @@ def heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
         lstar = _LeftStar(G, grid, k)
         _rate_guard(lstar.spectral_rate, cfg)
         y0 = alpha.values
-        rhs = lambda v: -factor * lstar.commutator(v)
+        rhs = lambda v, out: np.multiply(-factor, lstar.commutator(v, out), out=out)
     traj = Trajectory("heisenberg")
     _run_evolution(y0, rhs, cfg, save_every, _recorder(traj, grid, cfg.dt, "observable"))
     return traj
@@ -380,7 +422,8 @@ def liouville_evolve(rho: PhaseFunction, G: HamiltonianGenerator,
     energy = lambda v: float(np.real(np.sum(lstar.G_field.values * v)) * trace_w)
     tr0 = measure(rho.values)
     traj = Trajectory("liouville")
-    _run_evolution(rho.values, lambda v: factor * lstar.commutator(v), cfg, save_every,
+    rhs = lambda v, out: np.multiply(factor, lstar.commutator(v, out), out=out)
+    _run_evolution(rho.values, rhs, cfg, save_every,
                    _recorder(traj, grid, cfg.dt, "density", measure, energy),
                    ("trace", tr0, TRACE_DRIFT_TOL, measure))
     return traj
@@ -425,7 +468,7 @@ def classical_heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
         flow = _PoissonFlow(G, grid)
         _rate_guard(flow.spectral_rate, cfg)
         y0 = alpha.values
-        rhs = lambda v: -flow(v)
+        rhs = lambda v, out: np.negative(flow(v, out), out=out)
     traj = Trajectory("classical-heisenberg")
     _run_evolution(y0, rhs, cfg, save_every, _recorder(traj, grid, cfg.dt, "observable"))
     return traj
@@ -469,7 +512,8 @@ class FreeParticleTildeGenerator:
     def flow(self, rho: PhaseFunction) -> PhaseFunction:
         """(1/2i) G̃ ρ = {p²/2m, ρ} = −(p/m)·∂_x ρ, the free advection field."""
         g = rho.grid
-        vals = _PoissonFlow(free_generator(self.mass, g.n), g)(rho.values)
+        vals = _PoissonFlow(free_generator(self.mass, g.n), g)(
+            rho.values, np.empty(g.shape, dtype=np.complex128))
         return PhaseFunction(g, vals, role=rho.role, _checked=True)
 
 

@@ -256,15 +256,27 @@ _COSET = {"kind": "coset", "coset": {"omega": [[0.0]], "pbar": [1.0]}}
     ({**_COSET, "coset": {**_COSET["coset"], "point": {"theta": math.inf}}}, [],
      "'coset.point.theta'"),
     ({**_OVERLAP, "k_values": 5}, [], "k-values"),
+    (_HEIS, ["--dt", "0"], "dt must be positive"),
+    (_HEIS, ["--steps", "0"], "steps must be >= 1"),
+    (_HEIS, ["--grid-n", "0"], "N=0"),
+    (_HEIS, ["--out", ""], "'out_dir'"),
+    ({**_COSET, "out_dir": ""}, [], "'out_dir'"),
+    ({**_COSET, "out_dir": 5}, [], "'out_dir'"),
+    ({"kind": "sweep-k", "sweep": "theta", "k_values": [1, 2, 4, 8]}, ["--k", ""], "--k"),
+    ({**_COSET, "k": 3.0, "k_values": []}, [], "'k_values'"),
+    ({**_COSET, "k": 3.0, "k_values": 0}, [], "k=0.0"),
 ], ids=["k-not-numeric", "grid-not-an-object", "label-without-x", "grid-N-string",
         "evolve-k-string", "star-check-k-string", "k-values-string", "coset-k-values-string",
         "dt-string", "order-string", "sigma-string", "mass-string", "save-every-string",
         "steps-fractional", "evolve-k-zero", "k-values-nan", "sigma-nan", "p0-nan",
         "thetabar-nan", "label-p-string", "label-p-object", "pbar-string", "omega-string",
-        "omega-not-rows", "point-x-string", "theta-infinite", "k-values-number"])
+        "omega-not-rows", "point-x-string", "theta-infinite", "k-values-number",
+        "override-dt-zero", "override-steps-zero", "override-grid-n-zero", "override-out-empty",
+        "out-dir-empty", "out-dir-number", "override-k-empty", "coset-k-values-empty",
+        "coset-k-values-zero"])
 def test_main_malformed_config_exit_code(tmp_path, capsys, config, extra_args, needle):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "o")}))
+    path.write_text(json.dumps({"out_dir": str(tmp_path / "o"), **config}))
     assert main([config["kind"], "--config", str(path), *extra_args]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1

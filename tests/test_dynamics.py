@@ -9,6 +9,7 @@ from wwgm import (
     CoherentLabel,
     EvolutionConfig,
     PhaseFunction,
+    PhaseGrid,
     PhasePolynomial,
     ValidationError,
     classical_heisenberg_evolve,
@@ -28,7 +29,8 @@ from wwgm import (
     trace_pair,
     wigner,
 )
-from wwgm.dynamics import HamiltonianGenerator
+from wwgm._spectral import _apply
+from wwgm.dynamics import HamiltonianGenerator, _LeftStar, _PoissonFlow, _rk4_step
 from wwgm.catalog import make_observable
 
 HARM = harmonic_generator()
@@ -329,3 +331,121 @@ def test_evolution_config_validation():
         EvolutionConfig(1e-3, 0)
     with pytest.raises(ValidationError):
         EvolutionConfig(1e-3, 5, integrator="euler")
+
+
+# ------------------------------------------------- allocation-free stepping
+
+def _old_apply(v, mult, axes):
+    """The allocating Fourier multiplier, mult · spectrum with mult first."""
+    spectrum = np.fft.fftn(v, axes=axes)
+    return np.fft.ifftn(mult * spectrum, axes=axes)
+
+
+def _old_left(lstar):
+    """The allocating G ⋆ v that the in-place operator replaced."""
+    def left(v):
+        out = np.zeros(lstar.grid.shape, dtype=np.complex128)
+        for mult, axes in lstar._mults:
+            out += _old_apply(v, mult, axes)
+        return out
+    return left
+
+
+def _old_commutator(lstar):
+    left = _old_left(lstar)
+    return lambda v: left(v) - np.conj(left(np.conj(v)))
+
+
+def _old_flow(flow):
+    def f(v):
+        out = np.zeros(flow.grid.shape, dtype=np.complex128)
+        for field, axis in flow.terms:
+            out += field * _old_apply(v, 1j * flow.grid.freq_fields[axis], (axis,))
+        return out
+    return f
+
+
+def _reference_final(y0, rhs, cfg):
+    y = y0
+    for _ in range(cfg.steps):
+        y = _rk4_step(y, rhs, cfg.dt)
+    return y
+
+
+_SMALL = PhaseGrid(n=1, N=64, L=8.0)
+_CFG = EvolutionConfig(1e-3, 6)
+
+
+def _grid_run(case):
+    """(initial state, trajectory, right-hand side of the allocating path)."""
+    g = _SMALL
+    rho = wigner(coherent_state(CoherentLabel([0.25], [0.0]), g))
+    gauss = make_observable("gaussian", g, {"p0": 0.3, "x0": -0.2, "sigma": 1.0})
+    if case == "schrodinger":
+        phi = coherent_state(CoherentLabel([0.25], [0.0]), g)
+        left = _old_left(_LeftStar(HARM, g))
+        return phi, schrodinger_evolve(phi, HARM, _CFG), lambda v: (1.0 / 2j) * left(v)
+    if case.startswith("liouville"):
+        k = float(case[-1])
+        comm = _old_commutator(_LeftStar(HARM, g, k))
+        return rho, liouville_evolve(rho, HARM, _CFG, k=k), lambda v: (k ** 2 / 2j) * comm(v)
+    if case == "heisenberg":
+        comm = _old_commutator(_LeftStar(HARM, g, 1.5))
+        return (gauss, heisenberg_evolve(gauss, HARM, _CFG, k=1.5),
+                lambda v: -(1.5 ** 2 / 2j) * comm(v))
+    if case == "classical-liouville":
+        free = free_generator(2.0)
+        return rho, classical_liouville_evolve(rho, free, _CFG), _old_flow(_PoissonFlow(free, g))
+    flow = _old_flow(_PoissonFlow(HARM, g))
+    return gauss, classical_heisenberg_evolve(gauss, HARM, _CFG), lambda v: -flow(v)
+
+
+@pytest.mark.parametrize("case", ["schrodinger", "liouville-k1", "liouville-k2", "heisenberg",
+                                  "classical-liouville", "classical-heisenberg"])
+def test_buffered_runner_is_bit_equal_to_the_allocating_step(case):
+    state, traj, old_rhs = _grid_run(case)
+    assert np.array_equal(traj.final.values, _reference_final(state.values, old_rhs, _CFG))
+
+
+def test_input_state_is_not_written_to():
+    phi = coherent_state(CoherentLabel([0.25], [0.0]), _SMALL)
+    before = np.copy(phi.values)
+    schrodinger_evolve(phi, HARM, _CFG)
+    assert np.array_equal(phi.values, before)
+
+
+def test_recorded_snapshots_are_distinct_arrays():
+    phi = coherent_state(CoherentLabel([0.25], [0.0]), _SMALL)
+    traj = schrodinger_evolve(phi, HARM, _CFG, save_every=2)
+    values = [s.values for s in traj.states]
+    assert len(values) == 4
+    assert np.array_equal(values[0], phi.values)
+    for i, a in enumerate(values):
+        for b in values[i + 1:]:
+            assert not np.shares_memory(a, b)
+            assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, N, axes", [(1, 64, (0,)), (2, 16, (0, 1)), (2, 16, (1, 3))])
+def test_apply_writes_the_allocating_multiplier_into_its_buffer(rng, n, N, axes):
+    g = PhaseGrid(n=n, N=N, L=8.0)
+    values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    mult = sum(g.fields[a] * g.freq_fields[a] for a in axes) + 0.5j
+    buf = np.empty(g.shape, dtype=np.complex128)
+    assert _apply(values, mult, axes, out=buf) is buf
+    assert np.array_equal(buf, _old_apply(values, mult, axes))
+    assert np.array_equal(_apply(values.real, mult, axes), _old_apply(values.real, mult, axes))
+
+
+def test_non_separable_generator_steps_through_the_star_fallback():
+    # G = p·x has no K(p) + V(x) split, so G ⋆ v goes through `star` and is
+    # copied into the stage buffer
+    g = _SMALL
+    G = HamiltonianGenerator("px", PhasePolynomial.p_var(1, 0) * PhasePolynomial.x_var(1, 0))
+    gauss = make_observable("gaussian", g, {"p0": 0.3, "x0": -0.2, "sigma": 1.0})
+    cfg = EvolutionConfig(1e-3, 3)
+    traj = heisenberg_evolve(gauss, G, cfg)
+    G_field = G.make(g)
+    left = lambda v: star(G_field, PhaseFunction(g, np.copy(v), _checked=True)).values
+    rhs = lambda v: -(1 / 2j) * (left(v) - np.conj(left(np.conj(v))))
+    assert np.array_equal(traj.final.values, _reference_final(gauss.values, rhs, cfg))
