@@ -17,13 +17,14 @@ runner (global error O(dt⁴)), guarded by dt·‖G‖∞ ≤ 0.5. Each picture
 hands it a state (a grid array, or the coefficients of a polynomial
 observable, which evolve exactly), a right-hand side, a snapshot recorder
 and, where the picture has one, the invariant whose drift aborts the run.
-A grid state is stepped in place: the runner preallocates its working
-state and three stage buffers, each right-hand side writes into a buffer
-it is given, and the star operators keep their own scratch arrays, so a
-grid RK4 step allocates no full-grid array.
-Separable generators G = K(p) + V(x) are applied through mixed-space
-multipliers, K(p + cμ_x) and V(x − cμ_p), which star-multiply in
-O(N log N) per axis and are exact for band-limited states.
+A grid state is stepped in place, in the runner's preallocated buffers,
+so a grid RK4 step allocates no full-grid array.
+
+Every grid right-hand side comes from one multiplier builder whose
+argument c = 1/k² is the contraction. For separable G = K(p) + V(x) the
+star product with G is a mixed-space multiplier, O(N log N) per axis and
+exact for band-limited states; the commutator is one real, odd multiplier
+per part, Moyal's sine bracket, and its c = 0 limit is the Poisson flow.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ._spectral import _apply, derivative
 from .errors import AccuracyError, ValidationError
 from .heisenberg_group import _coerce_k
 from .phase_space import PhaseFunction, PhaseGrid, _write_csv, inner
-from .star_algebra import HBAR, star
+from .star_algebra import HBAR, poisson_bracket, scaled_moyal_bracket, star
 
 NORM_DRIFT_TOL = 1e-6
 TRACE_DRIFT_TOL = 1e-8
@@ -153,114 +154,113 @@ def export_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# star-multiplication operators used by the steppers
+# grid flows: the right-hand sides of the grid pictures
 # ---------------------------------------------------------------------------
 
-class _LeftStar:
-    """v ↦ G ⋆ v for a polynomial generator, at contraction parameter k.
+#: quantum multipliers are zeroed beyond this fraction of the Nyquist
+#: frequency: resolved states carry no content there, while the corners
+#: would otherwise dominate the spectral radius with roundoff-only modes
+_DEALIAS_FRACTION = 2.0 / 3.0
 
-    Separable generators go through precomputed mixed-space multipliers;
-    anything else falls back to the generic star product. The multipliers
-    are zeroed beyond two thirds of the Nyquist frequency: resolved states
-    carry no content there, while the coordinate-plus-frequency corners
-    would otherwise dominate the operator's spectral radius with modes
-    that only ever hold roundoff noise.
+
+def _shifted(poly: PhasePolynomial, grid: PhaseGrid, coords, freq_axes, shift: float,
+             cut: float) -> np.ndarray:
+    """poly with coordinate field coords[i] replaced by coords[i] + shift·μ,
+    μ the frequency along freq_axes[i], zeroed beyond `cut` along those axes."""
+    args = list(grid.fields)
+    mask = np.ones((), dtype=float)
+    for coord, ax in zip(coords, freq_axes):
+        freqs = grid.freq_fields[ax]
+        args[coord] = grid.fields[coord] + shift * freqs
+        mask = mask * (np.abs(freqs) <= cut)
+    return poly.evaluate(args) * mask
+
+
+def _flow_parts(G: HamiltonianGenerator, grid: PhaseGrid, c: float, role: str):
+    """(parts, rate): the right-hand side D(v) of a grid picture at c = 1/k²
+    as (multiplier, axes) parts whose Fourier multipliers sum to it, and the
+    rate fed to the RK4 guard. D(v) is (1/2i) G ⋆ v for a wavefunction,
+    (1/2ic)[G, v]_⋆ for a density, (1/2ic)[v, G]_⋆ for an observable, and
+    {G, v}, {v, G} at c = 0.
+
+    For G = K(p) + V(x), G ⋆ v multiplies v by K(p + cμ_x) in (p, μ_x) space
+    and by V(x − cμ_p) in (μ_p, x) space, μ the frequency conjugate to each
+    coordinate; v ⋆ G takes −c. So a density's parts are the dealiased sine
+    bracket (Moyal 1949), [K(p + cμ_x) − K(p − cμ_x)]/2ic and
+    [V(x − cμ_p) − V(x + cμ_p)]/2ic, whose c → 0 limits −i∂_pK·μ_x and
+    i∂_xV·μ_p are the Poisson flow's; an observable's are their negatives.
+    The parts are None if G is not separable. The rate is Σ max|left
+    multiplier|/ħ, or max|G|/ħ if not separable, and kmax·Σ max|∂G| at c = 0.
+    """
+    split = G.split_separable()
+    kmax = float(np.max(np.abs(grid.freqs)))
+    sign = -1.0 if role == "observable" else 1.0
+    parts = []
+    if c == 0:
+        dGx = [G.poly.diff_x(i).evaluate(grid.fields) for i in range(grid.n)]
+        dGp = [G.poly.diff_p(i).evaluate(grid.fields) for i in range(grid.n)]
+        rate = 0.0
+        for i in range(grid.n):
+            for dG in (dGx[i], dGp[i]):
+                rate += float(np.max(np.abs(dG))) * kmax
+        if split is None:
+            return None, rate
+        for poly, dG, axes, s in ((split[0], dGp, grid.x_axes(), -1j),
+                                  (split[1], dGx, grid.p_axes(), 1j)):
+            if not poly.is_zero:
+                mult = sum(d * grid.freq_fields[ax] for d, ax in zip(dG, axes))
+                parts.append((mult * (sign * s), axes))
+        return parts, rate
+    if split is None:
+        return None, float(np.max(np.abs(G.make(grid).values))) / HBAR
+    cut = _DEALIAS_FRACTION * kmax
+    rate = 0.0
+    for poly, coords, axes, s in ((split[0], grid.p_axes(), grid.x_axes(), 1.0),
+                                  (split[1], grid.x_axes(), grid.p_axes(), -1.0)):
+        if poly.is_zero:
+            continue
+        mult = _shifted(poly, grid, coords, axes, s * c, cut)
+        rate += float(np.max(np.abs(mult)))
+        if role == "wavefunction":
+            mult *= 1.0 / 2j
+        else:
+            mult -= _shifted(poly, grid, coords, axes, -s * c, cut)
+            mult *= sign / (2j * c)
+        parts.append((mult, axes))
+    return parts, rate / HBAR
+
+
+class _GridFlow:
+    """v ↦ D(v) of one grid picture (see _flow_parts) into a caller's buffer:
+    the sum of the parts through one scratch array, or for a generator that
+    is not separable star(G, ·)/2i, scaled_moyal_bracket or poisson_bracket.
     """
 
-    DEALIAS_FRACTION = 2.0 / 3.0
-
-    def __init__(self, G: HamiltonianGenerator, grid: PhaseGrid, k: float = 1.0):
+    def __init__(self, G: HamiltonianGenerator, grid: PhaseGrid, c: float, role: str):
         self.grid = grid
-        self.c = 1.0 / _coerce_k(k) ** 2
-        self.G_field = G.make(grid)
-        split = G.split_separable()
-        #: (multiplier, axes it acts on in frequency space) per nonzero part; None if not separable
-        self._mults = None
-        if split is not None:
-            K, V = split
-            parts = ((K, grid.p_axes(), grid.x_axes(), 1.0),
-                     (V, grid.x_axes(), grid.p_axes(), -1.0))
-            self._mults = [(self._multiplier(poly, coords, axes, sign), axes)
-                           for poly, coords, axes, sign in parts if not poly.is_zero]
-        #: scratch for one multiplier round trip, and for the conjugated
-        #: operand and product of the commutator
-        self._spec, self._conj, self._prod = (
-            np.empty(grid.shape, dtype=np.complex128) for _ in range(3))
-
-    def _multiplier(self, poly: PhasePolynomial, coords, freq_axes, sign: float) -> np.ndarray:
-        """poly with coordinate field coords[i] replaced by coords[i] + sign·c·μ,
-        μ the frequency along freq_axes[i], dealiased along those axes."""
-        g = self.grid
-        cut = self.DEALIAS_FRACTION * float(np.max(np.abs(g.freqs)))
-        args = list(g.fields)
-        mask = np.ones((), dtype=float)
-        for coord, ax in zip(coords, freq_axes):
-            freqs = g.freq_fields[ax]
-            args[coord] = g.fields[coord] + sign * self.c * freqs
-            mask = mask * (np.abs(freqs) <= cut)
-        return poly.evaluate(args) * mask
-
-    @property
-    def spectral_rate(self) -> float:
-        """Largest oscillation rate the stepped operator can exhibit."""
-        if self._mults is None:
-            return float(np.max(np.abs(self.G_field.values))) / HBAR
-        rate = 0.0
-        for mult, _axes in self._mults:
-            rate += float(np.max(np.abs(mult)))
-        return rate / HBAR
+        self.parts, self.rate = _flow_parts(G, grid, c, role)
+        if self.parts is not None:
+            self._spec = np.empty(grid.shape, dtype=np.complex128)
+            return
+        G_field = G.make(grid)
+        pair = (lambda f: (f, G_field)) if role == "observable" else (lambda f: (G_field, f))
+        if role == "wavefunction":
+            self._algebra = lambda f: star(G_field, f, k=c ** -0.5) * (1.0 / 2j)
+        elif c == 0:
+            self._algebra = lambda f: poisson_bracket(*pair(f))
+        else:
+            self._algebra = lambda f: scaled_moyal_bracket(*pair(f), k=c ** -0.5)
 
     def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """G ⋆ values, written into `out`."""
-        if self._mults is None:
+        if self.parts is None:
             # PhaseFunction freezes the array it wraps, so hand it a copy
             f = PhaseFunction(self.grid, np.copy(values), _checked=True)
-            np.copyto(out, star(self.G_field, f, k=self.c ** -0.5).values)
+            np.copyto(out, self._algebra(f).values)
             return out
         out.fill(0)
-        for mult, axes in self._mults:
+        for mult, axes in self.parts:
             np.add(out, _apply(values, mult, axes, self._spec), out=out)
         return out
-
-    def commutator(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """[G, v]_⋆ = G ⋆ v − v ⋆ G into `out`; uses v ⋆ G = conj(G ⋆ v̄) for real G."""
-        self(values, out)
-        self(np.conj(values, out=self._conj), self._prod)
-        return np.subtract(out, np.conj(self._prod, out=self._prod), out=out)
-
-
-class _PoissonFlow:
-    """v ↦ {G, v} with the generator's derivatives evaluated analytically.
-
-    Only the (±∂G field, axis) terms whose derivative polynomial is nonzero
-    are kept, so a generator that depends on p alone costs one spectral
-    derivative per x axis.
-    """
-
-    def __init__(self, G: HamiltonianGenerator, grid: PhaseGrid):
-        self.grid = grid
-        self.terms = []
-        for i in range(grid.n):
-            for dG, axis in ((G.poly.diff_x(i), i), (-1.0 * G.poly.diff_p(i), grid.n + i)):
-                if not dG.is_zero:
-                    self.terms.append((dG.evaluate(grid.fields), axis))
-        self._deriv = np.empty(grid.shape, dtype=np.complex128)
-
-    def __call__(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """{G, values}, written into `out`."""
-        out.fill(0)
-        for field, axis in self.terms:
-            d = derivative(values, self.grid, axis=axis, out=self._deriv)
-            np.add(out, np.multiply(field, d, out=d), out=out)
-        return out
-
-    @property
-    def spectral_rate(self) -> float:
-        kmax = float(np.max(np.abs(self.grid.freqs)))
-        rate = 0.0
-        for field, _axis in self.terms:
-            rate += float(np.max(np.abs(field))) * kmax
-        return rate
 
 
 #: imaginary-axis stability limit of the RK4 scheme is 2*sqrt(2); stay inside
@@ -362,17 +362,16 @@ def schrodinger_evolve(phi: PhaseFunction, G: HamiltonianGenerator,
     if abs(nrm0 - 1.0) > 1e-6:
         raise ValidationError(f"state not normalized: <phi|phi> = {nrm0:.8g}")
     _stability_guard(G, grid, cfg)
-    lstar = _LeftStar(G, grid, 1.0)
-    _rate_guard(lstar.spectral_rate, cfg)
-    factor = 1.0 / 2j
+    flow = _GridFlow(G, grid, 1.0, "wavefunction")
+    _rate_guard(flow.rate, cfg)
     sq = np.empty(grid.shape)  # |v|² scratch of the per-step norm check
     measure = lambda v: float(np.sum(np.square(np.abs(v, out=sq), out=sq))) \
         * grid.weight / np.pi ** grid.n
-    energy = lambda v: float(np.real(np.sum(np.conj(v) * lstar(v, np.empty_like(v))))
+    # <v|G ⋆ v>, with G ⋆ v = 2i·flow(v)
+    energy = lambda v: float(np.real(2j * np.sum(np.conj(v) * flow(v, np.empty_like(v))))
                              * grid.weight / np.pi ** grid.n)
     traj = Trajectory("schrodinger")
-    rhs = lambda v, out: np.multiply(factor, lstar(v, out), out=out)
-    _run_evolution(phi.values, rhs, cfg, save_every,
+    _run_evolution(phi.values, flow, cfg, save_every,
                    _recorder(traj, grid, cfg.dt, "wavefunction", measure, energy),
                    ("norm", nrm0, NORM_DRIFT_TOL, measure))
     return traj
@@ -385,7 +384,7 @@ def heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
 
     Polynomial observables evolve in exact coefficient arithmetic (the
     quadratic algebra closes on itself); grid observables go through the
-    star multipliers.
+    sine-bracket multipliers.
     """
     grid = alpha.grid
     k = _coerce_k(k)
@@ -396,10 +395,9 @@ def heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
         y0 = alpha.poly
         rhs = lambda q: (star_poly(q, G.poly, c) - star_poly(G.poly, q, c)) * factor
     else:
-        lstar = _LeftStar(G, grid, k)
-        _rate_guard(lstar.spectral_rate, cfg)
+        rhs = _GridFlow(G, grid, c, "observable")
+        _rate_guard(rhs.rate, cfg)
         y0 = alpha.values
-        rhs = lambda v, out: np.multiply(-factor, lstar.commutator(v, out), out=out)
     traj = Trajectory("heisenberg")
     _run_evolution(y0, rhs, cfg, save_every, _recorder(traj, grid, cfg.dt, "observable"))
     return traj
@@ -414,16 +412,15 @@ def liouville_evolve(rho: PhaseFunction, G: HamiltonianGenerator,
     if rho.role != "density":
         raise ValidationError("liouville_evolve expects a density")
     _stability_guard(G, grid, cfg)
-    lstar = _LeftStar(G, grid, k)
-    _rate_guard(lstar.spectral_rate, cfg)
-    factor = k ** 2 / 2j
+    flow = _GridFlow(G, grid, 1.0 / k ** 2, "density")
+    _rate_guard(flow.rate, cfg)
     trace_w = grid.weight / (2.0 ** (2 * grid.n) * np.pi ** grid.n)
     measure = lambda v: float(np.real(np.sum(v))) * trace_w
-    energy = lambda v: float(np.real(np.sum(lstar.G_field.values * v)) * trace_w)
+    G_vals = G.make(grid).values
+    energy = lambda v: float(np.real(np.sum(G_vals * v)) * trace_w)
     tr0 = measure(rho.values)
     traj = Trajectory("liouville")
-    rhs = lambda v, out: np.multiply(factor, lstar.commutator(v, out), out=out)
-    _run_evolution(rho.values, rhs, cfg, save_every,
+    _run_evolution(rho.values, flow, cfg, save_every,
                    _recorder(traj, grid, cfg.dt, "density", measure, energy),
                    ("trace", tr0, TRACE_DRIFT_TOL, measure))
     return traj
@@ -443,8 +440,8 @@ def classical_liouville_evolve(rho: PhaseFunction, G: HamiltonianGenerator,
     if float(np.min(rho.values.real)) < -1e-8 * m:
         raise ValidationError("classical density must be nonnegative")
     _stability_guard(G, grid, cfg)
-    flow = _PoissonFlow(G, grid)
-    _rate_guard(flow.spectral_rate, cfg)
+    flow = _GridFlow(G, grid, 0.0, "density")
+    _rate_guard(flow.rate, cfg)
     measure = lambda v: float(np.real(np.sum(v))) * grid.weight
     mass0 = measure(rho.values)
     G_vals = G.make(grid).values
@@ -465,10 +462,9 @@ def classical_heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
         y0 = alpha.poly
         rhs = lambda q: poisson_poly(q, G.poly)
     else:
-        flow = _PoissonFlow(G, grid)
-        _rate_guard(flow.spectral_rate, cfg)
+        rhs = _GridFlow(G, grid, 0.0, "observable")
+        _rate_guard(rhs.rate, cfg)
         y0 = alpha.values
-        rhs = lambda v, out: np.negative(flow(v, out), out=out)
     traj = Trajectory("classical-heisenberg")
     _run_evolution(y0, rhs, cfg, save_every, _recorder(traj, grid, cfg.dt, "observable"))
     return traj
@@ -512,7 +508,7 @@ class FreeParticleTildeGenerator:
     def flow(self, rho: PhaseFunction) -> PhaseFunction:
         """(1/2i) G̃ ρ = {p²/2m, ρ} = −(p/m)·∂_x ρ, the free advection field."""
         g = rho.grid
-        vals = _PoissonFlow(free_generator(self.mass, g.n), g)(
+        vals = _GridFlow(free_generator(self.mass, g.n), g, 0.0, "density")(
             rho.values, np.empty(g.shape, dtype=np.complex128))
         return PhaseFunction(g, vals, role=rho.role, _checked=True)
 

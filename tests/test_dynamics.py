@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wwgm import (
+    HBAR,
     CoherentLabel,
     EvolutionConfig,
     PhaseFunction,
@@ -23,6 +26,7 @@ from wwgm import (
     liouville_evolve,
     oracle_quadratic_flow,
     poisson_bracket,
+    scaled_moyal_bracket,
     schrodinger_evolve,
     star,
     tilde_apply,
@@ -30,7 +34,7 @@ from wwgm import (
     wigner,
 )
 from wwgm._spectral import _apply
-from wwgm.dynamics import HamiltonianGenerator, _LeftStar, _PoissonFlow, _rk4_step
+from wwgm.dynamics import HamiltonianGenerator, _GridFlow, _rk4_step
 from wwgm.catalog import make_observable
 
 HARM = harmonic_generator()
@@ -341,28 +345,15 @@ def _old_apply(v, mult, axes):
     return np.fft.ifftn(mult * spectrum, axes=axes)
 
 
-def _old_left(lstar):
-    """The allocating G ⋆ v that the in-place operator replaced."""
-    def left(v):
-        out = np.zeros(lstar.grid.shape, dtype=np.complex128)
-        for mult, axes in lstar._mults:
+def _allocating(flow):
+    """The allocating sum of a flow's multiplier parts that the in-place
+    operator replaced."""
+    def rhs(v):
+        out = np.zeros(flow.grid.shape, dtype=np.complex128)
+        for mult, axes in flow.parts:
             out += _old_apply(v, mult, axes)
         return out
-    return left
-
-
-def _old_commutator(lstar):
-    left = _old_left(lstar)
-    return lambda v: left(v) - np.conj(left(np.conj(v)))
-
-
-def _old_flow(flow):
-    def f(v):
-        out = np.zeros(flow.grid.shape, dtype=np.complex128)
-        for field, axis in flow.terms:
-            out += field * _old_apply(v, 1j * flow.grid.freq_fields[axis], (axis,))
-        return out
-    return f
+    return rhs
 
 
 def _reference_final(y0, rhs, cfg):
@@ -383,21 +374,21 @@ def _grid_run(case):
     gauss = make_observable("gaussian", g, {"p0": 0.3, "x0": -0.2, "sigma": 1.0})
     if case == "schrodinger":
         phi = coherent_state(CoherentLabel([0.25], [0.0]), g)
-        left = _old_left(_LeftStar(HARM, g))
-        return phi, schrodinger_evolve(phi, HARM, _CFG), lambda v: (1.0 / 2j) * left(v)
+        return (phi, schrodinger_evolve(phi, HARM, _CFG),
+                _allocating(_GridFlow(HARM, g, 1.0, "wavefunction")))
     if case.startswith("liouville"):
         k = float(case[-1])
-        comm = _old_commutator(_LeftStar(HARM, g, k))
-        return rho, liouville_evolve(rho, HARM, _CFG, k=k), lambda v: (k ** 2 / 2j) * comm(v)
+        return (rho, liouville_evolve(rho, HARM, _CFG, k=k),
+                _allocating(_GridFlow(HARM, g, 1.0 / k ** 2, "density")))
     if case == "heisenberg":
-        comm = _old_commutator(_LeftStar(HARM, g, 1.5))
         return (gauss, heisenberg_evolve(gauss, HARM, _CFG, k=1.5),
-                lambda v: -(1.5 ** 2 / 2j) * comm(v))
+                _allocating(_GridFlow(HARM, g, 1.0 / 1.5 ** 2, "observable")))
     if case == "classical-liouville":
         free = free_generator(2.0)
-        return rho, classical_liouville_evolve(rho, free, _CFG), _old_flow(_PoissonFlow(free, g))
-    flow = _old_flow(_PoissonFlow(HARM, g))
-    return gauss, classical_heisenberg_evolve(gauss, HARM, _CFG), lambda v: -flow(v)
+        return (rho, classical_liouville_evolve(rho, free, _CFG),
+                _allocating(_GridFlow(free, g, 0.0, "density")))
+    return (gauss, classical_heisenberg_evolve(gauss, HARM, _CFG),
+            _allocating(_GridFlow(HARM, g, 0.0, "observable")))
 
 
 @pytest.mark.parametrize("case", ["schrodinger", "liouville-k1", "liouville-k2", "heisenberg",
@@ -438,14 +429,163 @@ def test_apply_writes_the_allocating_multiplier_into_its_buffer(rng, n, N, axes)
 
 
 def test_non_separable_generator_steps_through_the_star_fallback():
-    # G = p·x has no K(p) + V(x) split, so G ⋆ v goes through `star` and is
-    # copied into the stage buffer
+    # G = p·x has no K(p) + V(x) split, so the observable's flow goes through
+    # `scaled_moyal_bracket` and is copied into the stage buffer
     g = _SMALL
     G = HamiltonianGenerator("px", PhasePolynomial.p_var(1, 0) * PhasePolynomial.x_var(1, 0))
     gauss = make_observable("gaussian", g, {"p0": 0.3, "x0": -0.2, "sigma": 1.0})
     cfg = EvolutionConfig(1e-3, 3)
     traj = heisenberg_evolve(gauss, G, cfg)
     G_field = G.make(g)
-    left = lambda v: star(G_field, PhaseFunction(g, np.copy(v), _checked=True)).values
-    rhs = lambda v: -(1 / 2j) * (left(v) - np.conj(left(np.conj(v))))
+    rhs = lambda v: scaled_moyal_bracket(PhaseFunction(g, np.copy(v), _checked=True),
+                                         G_field).values
     assert np.array_equal(traj.final.values, _reference_final(gauss.values, rhs, cfg))
+
+
+# -------------------------------------------------- the sine-bracket flow
+
+_QUARTIC = HamiltonianGenerator(
+    "quartic", PhasePolynomial(1, {(2, 0): 1.0, (0, 2): 1.0, (0, 4): 0.01}))
+_PX = HamiltonianGenerator("px", PhasePolynomial.p_var(1, 0) * PhasePolynomial.x_var(1, 0))
+#: generator, K(p), V(x) (None where zero), ∂_x G, ∂_p G as plain NumPy
+_SEPARABLE = {
+    "harmonic": (HARM, lambda p: p ** 2, lambda x: x ** 2, lambda p, x: 2 * x,
+                 lambda p, x: 2 * p),
+    "free": (free_generator(2.0), lambda p: 0.25 * p ** 2, None, None, lambda p, x: 0.5 * p),
+    "quartic": (_QUARTIC, lambda p: p ** 2, lambda x: x ** 2 + 0.01 * x ** 4,
+                lambda p, x: 2 * x + 0.04 * x ** 3, lambda p, x: 2 * p),
+}
+
+
+def _left_mults(name, g, c):
+    """The left multipliers K(p + cμ_x) and V(x − cμ_p), zeroed beyond ⅔ Nyquist."""
+    _G, K, V, _dx, _dp = _SEPARABLE[name]
+    P, X = g.fields
+    mu_p, mu_x = g.freq_fields
+    cut = (2.0 / 3.0) * float(np.max(np.abs(g.freqs)))
+    mults = [(K(P + c * mu_x) * (np.abs(mu_x) <= cut), (1,))]
+    if V is not None:
+        mults.append((V(X - c * mu_p) * (np.abs(mu_p) <= cut), (0,)))
+    return mults
+
+
+def _left(name, g, k, v):
+    """G ⋆ v through the left multipliers."""
+    return sum(_old_apply(v, mult, axes) for mult, axes in _left_mults(name, g, 1.0 / k ** 2))
+
+
+def _two_call_commutator(name, g, k, v):
+    """(k²/2i)[G, v]_⋆ as two left calls and the conjugation v ⋆ G = conj(G ⋆ v̄)."""
+    return (k ** 2 / 2j) * (_left(name, g, k, v) - np.conj(_left(name, g, k, np.conj(v))))
+
+
+def _apply_parts(flow, v):
+    return sum(_old_apply(v, mult, axes) for mult, axes in flow.parts)
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.fixture(scope="module")
+def small_states():
+    g = _SMALL
+    return (wigner(coherent_state(CoherentLabel([0.3], [-0.4]), g)).values,
+            make_observable("gaussian", g, {"p0": 0.3, "x0": -0.2, "sigma": 1.0}).values)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "free", "quartic"])
+def test_bracket_parts_match_the_two_call_commutator(name, small_states):
+    G = _SEPARABLE[name][0]
+    for k in (1.0, 2.0):
+        density = _GridFlow(G, _SMALL, 1.0 / k ** 2, "density")
+        observable = _GridFlow(G, _SMALL, 1.0 / k ** 2, "observable")
+        for v in small_states:
+            want = _two_call_commutator(name, _SMALL, k, v)
+            assert _rel(_apply_parts(density, v), want) <= 1e-12
+            assert _rel(_apply_parts(observable, v), -want) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["harmonic", "free", "quartic"])
+def test_poisson_parts_match_the_field_derivative_sum(name, small_states):
+    # {G, v} = ∂_x G·∂_p v − ∂_p G·∂_x v, each derivative one spectral call
+    G, _K, _V, dx, dp = _SEPARABLE[name]
+    P, X = _SMALL.fields
+    deriv = lambda v, ax: _old_apply(v, 1j * _SMALL.freq_fields[ax], (ax,))
+    for v in small_states:
+        want = -dp(P, X) * deriv(v, 1)
+        if dx is not None:
+            want = want + dx(P, X) * deriv(v, 0)
+        assert _rel(_apply_parts(_GridFlow(G, _SMALL, 0.0, "density"), v), want) <= 1e-14
+        assert _rel(_apply_parts(_GridFlow(G, _SMALL, 0.0, "observable"), v), -want) <= 1e-14
+
+
+def test_bracket_contracts_to_the_poisson_flow_as_k_to_the_minus_4(small_states):
+    rho = small_states[0]
+    for name in ("harmonic", "free", "quartic"):
+        G = _SEPARABLE[name][0]
+        classical = _apply_parts(_GridFlow(G, _SMALL, 0.0, "density"), rho)
+        errs = [_rel(_apply_parts(_GridFlow(G, _SMALL, 1.0 / k ** 2, "density"), rho), classical)
+                for k in (4.0, 16.0, 64.0)]
+        if name == "quartic":
+            assert all(abs(a / b / 256.0 - 1.0) <= 0.03 for a, b in zip(errs, errs[1:]))
+        else:
+            # quadratic G: no correction beyond the mask acting on roundoff
+            assert max(errs) <= 1e-11
+
+
+@pytest.mark.parametrize("name", ["harmonic", "free", "quartic", "px"])
+def test_rate_guard_is_fed_the_parent_rates(name):
+    # the stepped operator changed; the rates fed to _rate_guard did not
+    g = _SMALL
+    P, X = g.fields
+    kmax = float(np.max(np.abs(g.freqs)))
+    if name == "px":
+        quantum = {c: float(np.max(np.abs(P * X))) / HBAR for c in (1.0, 0.25)}
+        classical = float(np.max(np.abs(P))) * kmax + float(np.max(np.abs(X))) * kmax
+    else:
+        quantum = {c: sum(float(np.max(np.abs(m))) for m, _ in _left_mults(name, g, c)) / HBAR
+                   for c in (1.0, 0.25)}
+        _G, _K, _V, dx, dp = _SEPARABLE[name]
+        fields = [f(P, X) for f in (dx, dp) if f is not None]
+        classical = 0.0
+        for f in fields:
+            classical += float(np.max(np.abs(f))) * kmax
+    G = _PX if name == "px" else _SEPARABLE[name][0]
+    assert _GridFlow(G, g, 1.0, "wavefunction").rate == quantum[1.0]
+    for role in ("density", "observable"):
+        assert _GridFlow(G, g, 0.25, role).rate == quantum[0.25]
+        assert _GridFlow(G, g, 0.0, role).rate == classical
+
+
+def test_non_separable_classical_flows_are_the_squeeze():
+    # G = p·x: {G, ρ} = p ∂_p ρ − x ∂_x ρ, so ρ(t) = ρ₀(p·eᵗ, x·e⁻ᵗ), and an
+    # observable moves the other way, α(t) = α₀(p·e⁻ᵗ, x·eᵗ)
+    g = _SMALL
+    P, X = g.fields
+    blob = lambda p, x: np.exp(-(p - 0.3) ** 2 - (x + 0.2) ** 2)
+    cfg = EvolutionConfig(1e-3, 100)
+    t = cfg.dt * cfg.steps
+    rho = PhaseFunction(g, blob(P, X).astype(complex), role="density")
+    alpha = PhaseFunction(g, blob(P, X).astype(complex))
+    rho_t = classical_liouville_evolve(rho, _PX, cfg).final.values
+    alpha_t = classical_heisenberg_evolve(alpha, _PX, cfg).final.values
+    assert np.max(np.abs(rho_t - blob(P * math.exp(t), X * math.exp(-t)))) <= 1e-10
+    assert np.max(np.abs(alpha_t - blob(P * math.exp(-t), X * math.exp(t)))) <= 1e-10
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(p=st.floats(-0.75, 0.75), x=st.floats(-0.75, 0.75), k=st.floats(1.0, 4.0),
+       name=st.sampled_from(["harmonic", "quartic"]))
+def test_sine_bracket_is_the_two_call_commutator(p, x, k, name):
+    # |p|, |x| <= 0.75 keeps the Wigner density inside the N=64 decay guard
+    rho = wigner(coherent_state(CoherentLabel([p], [x]), _SMALL)).values
+    flow = _GridFlow(_SEPARABLE[name][0], _SMALL, 1.0 / k ** 2, "density")
+    got = flow(rho, np.empty(_SMALL.shape, dtype=np.complex128))
+    # roundoff is set by the one-sided terms: a label near the origin makes
+    # the harmonic bracket itself vanish
+    scale = (k ** 2 / 2) * np.abs(_left(name, _SMALL, k, rho))
+    assert np.max(np.abs(got - _two_call_commutator(name, _SMALL, k, rho))) \
+        <= 1e-12 * np.max(scale)
+    # the bracket annihilates the trace, so Liouville's trace check keeps its meaning
+    assert abs(np.sum(got)) <= 1e-12 * np.sum(scale)
