@@ -2,9 +2,9 @@
 
 Observables like x, p, x²p are polynomials in the 2n variables
 (p₁..pₙ, x₁..xₙ). Keeping them in coefficient form (instead of sampled
-grids) makes derivatives, Poisson brackets and the finite Moyal series
-exact, which the grid Fourier transform cannot do for non-periodic
-monomials.
+grids) makes derivatives, the finite Moyal series and its odd part, the
+bracket (whose c = 0 term is the Poisson bracket), exact, which the grid
+Fourier transform cannot do for non-periodic monomials.
 
 Exponent keys are tuples of length 2n: p-powers first, then x-powers.
 """
@@ -93,20 +93,12 @@ class PhasePolynomial:
             out[tuple(ne)] = out.get(tuple(ne), 0.0) + c * e[var]
         return PhasePolynomial(self.n, out)
 
-    def diff_p(self, axis: int = 0) -> "PhasePolynomial":
-        return self.diff(axis)
-
-    def diff_x(self, axis: int = 0) -> "PhasePolynomial":
-        return self.diff(self.n + axis)
-
     def diff_multi(self, p_orders: tuple[int, ...], x_orders: tuple[int, ...]) -> "PhasePolynomial":
+        """∂_p^p_orders ∂_x^x_orders, orders per axis."""
         out = self
-        for i, r in enumerate(p_orders):
-            for _ in range(r):
-                out = out.diff_p(i)
-        for i, s in enumerate(x_orders):
-            for _ in range(s):
-                out = out.diff_x(i)
+        for var, m in enumerate(tuple(p_orders) + tuple(x_orders)):
+            for _ in range(m):
+                out = out.diff(var)
         return out
 
     # ------------------------------------------------------------ queries
@@ -170,18 +162,24 @@ def _moyal_terms(n: int, max_order: int, c: float):
                     yield m, pref * (-1) ** stot / fact, r, s
 
 
-def star_poly(a: PhasePolynomial, b: PhasePolynomial, c: float) -> PhasePolynomial:
-    """Exact Moyal product of polynomials with bidifferential prefactor c.
+def _bracket_terms(n: int, max_order: int, c: float):
+    """Yield (coef, r, s) for the odd terms of the scaled Moyal bracket
+    (1/2ic)(a ⋆ b − b ⋆ a) = Σ coef · (∂_p^r ∂_x^s a)(∂_x^r ∂_p^s b).
 
-    a ⋆ b = Σ_{r,s} (−ic)^{|r|+|s|} (−1)^{|s|} / (r! s!)
-                (∂_p^r ∂_x^s a)(∂_x^r ∂_p^s b)
-
-    The sum terminates: derivatives annihilate both factors beyond their
-    total degree, so the result is exact (no truncation).
+    The even terms cancel in the commutator and each odd one doubles, so
+    coef = −i·coef₁·c^{m−1}, coef₁ the Moyal coefficient at c = 1. It is
+    defined at c = 0, where only m = 1 survives: the Poisson bracket.
     """
+    for m, coef, r, s in _moyal_terms(n, max_order if c else min(max_order, 1), 1.0):
+        if m % 2:
+            yield -1j * coef * c ** (m - 1), r, s
+
+
+def _bidifferential(a: PhasePolynomial, b: PhasePolynomial, terms) -> PhasePolynomial:
+    """Σ coef · (∂_p^r ∂_x^s a)(∂_x^r ∂_p^s b) over (coef, r, s) terms."""
     a._check(b)
     out = PhasePolynomial(a.n)
-    for _m, coef, r, s in _moyal_terms(a.n, min(a.total_degree, b.total_degree), c):
+    for coef, r, s in terms:
         da = a.diff_multi(r, s)
         if da.is_zero:
             continue
@@ -192,10 +190,20 @@ def star_poly(a: PhasePolynomial, b: PhasePolynomial, c: float) -> PhasePolynomi
     return out
 
 
-def poisson_poly(a: PhasePolynomial, b: PhasePolynomial) -> PhasePolynomial:
-    """{a, b} = Σᵢ ∂a/∂xᵢ ∂b/∂pᵢ − ∂a/∂pᵢ ∂b/∂xᵢ (exact)."""
-    a._check(b)
-    out = PhasePolynomial(a.n)
-    for i in range(a.n):
-        out = out + a.diff_x(i) * b.diff_p(i) - a.diff_p(i) * b.diff_x(i)
-    return out
+def star_poly(a: PhasePolynomial, b: PhasePolynomial, c: float) -> PhasePolynomial:
+    """Exact Moyal product of polynomials with bidifferential prefactor c.
+
+    a ⋆ b = Σ_{r,s} (−ic)^{|r|+|s|} (−1)^{|s|} / (r! s!)
+                (∂_p^r ∂_x^s a)(∂_x^r ∂_p^s b)
+
+    The sum terminates: derivatives annihilate both factors beyond their
+    total degree, so the result is exact (no truncation).
+    """
+    order = min(a.total_degree, b.total_degree)
+    return _bidifferential(a, b, ((coef, r, s) for _m, coef, r, s in _moyal_terms(a.n, order, c)))
+
+
+def bracket_poly(a: PhasePolynomial, b: PhasePolynomial, c: float) -> PhasePolynomial:
+    """(1/2ic)(a ⋆ b − b ⋆ a), exact, from the odd Moyal terms alone; at
+    c = 0 it is the Poisson bracket {a, b} = Σᵢ ∂a/∂xᵢ ∂b/∂pᵢ − ∂a/∂pᵢ ∂b/∂xᵢ."""
+    return _bidifferential(a, b, _bracket_terms(a.n, min(a.total_degree, b.total_degree), c))

@@ -26,6 +26,16 @@ def _apply(values: np.ndarray, mult: np.ndarray, axes: tuple[int, ...],
     return np.fft.ifftn(out, axes=axes, out=out)
 
 
+def _symbol(grid, orders: tuple[int, ...]) -> np.ndarray:
+    """Fourier symbol Π (iμ)^m of the mixed partial taking `orders[ax]`
+    derivatives along each grid axis; broadcastable to the grid."""
+    mult = np.ones((), dtype=np.complex128)
+    for ax, m in enumerate(orders):
+        if m:
+            mult = mult * (1j * grid.freq_fields[ax]) ** m
+    return mult
+
+
 def derivative(values: np.ndarray, grid, axis: int,
                out: np.ndarray | None = None) -> np.ndarray:
     """Spectral ∂/∂(axis coordinate) on `grid`, into `out` if given."""

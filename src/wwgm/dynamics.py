@@ -20,11 +20,11 @@ and, where the picture has one, the invariant whose drift aborts the run.
 A grid state is stepped in place, in the runner's preallocated buffers,
 so a grid RK4 step allocates no full-grid array.
 
-Every grid right-hand side comes from one multiplier builder whose
-argument c = 1/k² is the contraction. For separable G = K(p) + V(x) the
-star product with G is a mixed-space multiplier, O(N log N) per axis and
-exact for band-limited states; the commutator is one real, odd multiplier
-per part, Moyal's sine bracket, and its c = 0 limit is the Poisson flow.
+Every bracket flow, quantum or classical, polynomial or grid, is one odd
+Moyal series at c = 1/k², whose c = 0 term is the Poisson bracket: in
+coefficient form (bracket_poly) for polynomial observables, and for
+separable G = K(p) + V(x) on the grid as one finite multiplier per part,
+O(N log N) per axis and exact for band-limited states at every k.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._poly import PhasePolynomial, poisson_poly, star_poly
-from ._spectral import _apply, derivative
+from ._poly import PhasePolynomial, _bracket_terms, bracket_poly
+from ._spectral import _apply, _symbol, derivative
 from .errors import AccuracyError, ValidationError
 from .heisenberg_group import _coerce_k
 from .phase_space import PhaseFunction, PhaseGrid, _write_csv, inner
@@ -163,17 +163,14 @@ def export_trajectory_csv(traj: Trajectory, path) -> None:
 _DEALIAS_FRACTION = 2.0 / 3.0
 
 
-def _shifted(poly: PhasePolynomial, grid: PhaseGrid, coords, freq_axes, shift: float,
-             cut: float) -> np.ndarray:
+def _shifted(poly: PhasePolynomial, grid: PhaseGrid, coords, freq_axes,
+             shift: float) -> np.ndarray:
     """poly with coordinate field coords[i] replaced by coords[i] + shift·μ,
-    μ the frequency along freq_axes[i], zeroed beyond `cut` along those axes."""
+    μ the frequency along freq_axes[i]."""
     args = list(grid.fields)
-    mask = np.ones((), dtype=float)
     for coord, ax in zip(coords, freq_axes):
-        freqs = grid.freq_fields[ax]
-        args[coord] = grid.fields[coord] + shift * freqs
-        mask = mask * (np.abs(freqs) <= cut)
-    return poly.evaluate(args) * mask
+        args[coord] = grid.fields[coord] + shift * grid.freq_fields[ax]
+    return poly.evaluate(args)
 
 
 def _flow_parts(G: HamiltonianGenerator, grid: PhaseGrid, c: float, role: str):
@@ -185,49 +182,48 @@ def _flow_parts(G: HamiltonianGenerator, grid: PhaseGrid, c: float, role: str):
 
     For G = K(p) + V(x), G ⋆ v multiplies v by K(p + cμ_x) in (p, μ_x) space
     and by V(x − cμ_p) in (μ_p, x) space, μ the frequency conjugate to each
-    coordinate; v ⋆ G takes −c. So a density's parts are the dealiased sine
-    bracket (Moyal 1949), [K(p + cμ_x) − K(p − cμ_x)]/2ic and
-    [V(x − cμ_p) − V(x + cμ_p)]/2ic, whose c → 0 limits −i∂_pK·μ_x and
-    i∂_xV·μ_p are the Poisson flow's; an observable's are their negatives.
-    The parts are None if G is not separable. The rate is Σ max|left
-    multiplier|/ħ, or max|G|/ħ if not separable, and kmax·Σ max|∂G| at c = 0.
+    coordinate. A bracket is the odd Moyal terms with each derivative of v
+    replaced by its symbol (iμ)^order, so only Σ coef·∂_p^r K·(iμ_x)^r and
+    Σ coef·∂_x^s V·(iμ_p)^s survive: Moyal's sine bracket as a finite sum,
+    with no cancellation at large k, and the Poisson flow at c = 0. Quantum
+    multipliers are dealiased; an observable's are negated. The parts are
+    None if G is not separable. The rate is Σ max|left multiplier|/ħ, or
+    max|G|/ħ if not separable, and kmax·Σ max|∂G| at c = 0.
     """
     split = G.split_separable()
     kmax = float(np.max(np.abs(grid.freqs)))
-    sign = -1.0 if role == "observable" else 1.0
-    parts = []
-    if c == 0:
-        dGx = [G.poly.diff_x(i).evaluate(grid.fields) for i in range(grid.n)]
-        dGp = [G.poly.diff_p(i).evaluate(grid.fields) for i in range(grid.n)]
-        rate = 0.0
-        for i in range(grid.n):
-            for dG in (dGx[i], dGp[i]):
-                rate += float(np.max(np.abs(dG))) * kmax
-        if split is None:
-            return None, rate
-        for poly, dG, axes, s in ((split[0], dGp, grid.x_axes(), -1j),
-                                  (split[1], dGx, grid.p_axes(), 1j)):
-            if not poly.is_zero:
-                mult = sum(d * grid.freq_fields[ax] for d, ax in zip(dG, axes))
-                parts.append((mult * (sign * s), axes))
-        return parts, rate
-    if split is None:
-        return None, float(np.max(np.abs(G.make(grid).values))) / HBAR
-    cut = _DEALIAS_FRACTION * kmax
     rate = 0.0
+    if c == 0:
+        for i in range(grid.n):
+            for var in (grid.n + i, i):
+                rate += float(np.max(np.abs(G.poly.diff(var).evaluate(grid.fields)))) * kmax
+    elif split is None:
+        return None, float(np.max(np.abs(G.make(grid).values))) / HBAR
+    if split is None:
+        return None, rate
+    sign = -1.0 if role == "observable" else 1.0
+    cut = _DEALIAS_FRACTION * kmax if c else np.inf
+    parts = []
     for poly, coords, axes, s in ((split[0], grid.p_axes(), grid.x_axes(), 1.0),
                                   (split[1], grid.x_axes(), grid.p_axes(), -1.0)):
         if poly.is_zero:
             continue
-        mult = _shifted(poly, grid, coords, axes, s * c, cut)
-        rate += float(np.max(np.abs(mult)))
+        mask = np.ones((), dtype=float)
+        for ax in axes:
+            mask = mask * (np.abs(grid.freq_fields[ax]) <= cut)
+        if c:
+            left = _shifted(poly, grid, coords, axes, s * c) * mask
+            rate += float(np.max(np.abs(left)))
         if role == "wavefunction":
-            mult *= 1.0 / 2j
-        else:
-            mult -= _shifted(poly, grid, coords, axes, -s * c, cut)
-            mult *= sign / (2j * c)
-        parts.append((mult, axes))
-    return parts, rate / HBAR
+            parts.append((left * (1.0 / 2j), axes))
+            continue
+        mult = 0.0
+        for coef, r, sx in _bracket_terms(grid.n, poly.total_degree, c):
+            d = poly.diff_multi(r, sx)
+            if not d.is_zero:
+                mult = mult + (sign * coef) * d.evaluate(grid.fields) * _symbol(grid, sx + r)
+        parts.append((mult * mask, axes))
+    return parts, (rate / HBAR if c else rate)
 
 
 class _GridFlow:
@@ -377,30 +373,32 @@ def schrodinger_evolve(phi: PhaseFunction, G: HamiltonianGenerator,
     return traj
 
 
-def heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
-                      cfg: EvolutionConfig, k: float = 1.0,
-                      save_every: int = 0) -> Trajectory:
-    """Integrate dα/ds = (k²/2i)[α, G]_⋆ at contraction parameter k.
-
-    Polynomial observables evolve in exact coefficient arithmetic (the
-    quadratic algebra closes on itself); grid observables go through the
-    sine-bracket multipliers.
-    """
+def _observable_evolve(alpha: PhaseFunction, G: HamiltonianGenerator, cfg: EvolutionConfig,
+                       c: float, save_every: int, picture: str) -> Trajectory:
+    """Step dα/ds = (1/2ic)[α, G]_⋆, or {α, G} at c = 0. A polynomial
+    observable evolves in exact coefficient arithmetic through bracket_poly
+    (the quadratic algebra closes on itself); a grid observable through the
+    bracket multipliers."""
     grid = alpha.grid
-    k = _coerce_k(k)
     _stability_guard(G, grid, cfg)
-    c = 1.0 / k ** 2
-    factor = k ** 2 / 2j
     if alpha.poly is not None:
         y0 = alpha.poly
-        rhs = lambda q: (star_poly(q, G.poly, c) - star_poly(G.poly, q, c)) * factor
+        rhs = lambda q: bracket_poly(q, G.poly, c)
     else:
         rhs = _GridFlow(G, grid, c, "observable")
         _rate_guard(rhs.rate, cfg)
         y0 = alpha.values
-    traj = Trajectory("heisenberg")
+    traj = Trajectory(picture)
     _run_evolution(y0, rhs, cfg, save_every, _recorder(traj, grid, cfg.dt, "observable"))
     return traj
+
+
+def heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
+                      cfg: EvolutionConfig, k: float = 1.0,
+                      save_every: int = 0) -> Trajectory:
+    """Integrate dα/ds = (k²/2i)[α, G]_⋆ at contraction parameter k."""
+    k = _coerce_k(k)
+    return _observable_evolve(alpha, G, cfg, 1.0 / k ** 2, save_every, "heisenberg")
 
 
 def liouville_evolve(rho: PhaseFunction, G: HamiltonianGenerator,
@@ -456,18 +454,7 @@ def classical_liouville_evolve(rho: PhaseFunction, G: HamiltonianGenerator,
 def classical_heisenberg_evolve(alpha: PhaseFunction, G: HamiltonianGenerator,
                                 cfg: EvolutionConfig, save_every: int = 0) -> Trajectory:
     """Transport a classical observable: dα/dt = {α, G}."""
-    grid = alpha.grid
-    _stability_guard(G, grid, cfg)
-    if alpha.poly is not None:
-        y0 = alpha.poly
-        rhs = lambda q: poisson_poly(q, G.poly)
-    else:
-        rhs = _GridFlow(G, grid, 0.0, "observable")
-        _rate_guard(rhs.rate, cfg)
-        y0 = alpha.values
-    traj = Trajectory("classical-heisenberg")
-    _run_evolution(y0, rhs, cfg, save_every, _recorder(traj, grid, cfg.dt, "observable"))
-    return traj
+    return _observable_evolve(alpha, G, cfg, 0.0, save_every, "classical-heisenberg")
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +471,9 @@ def tilde_apply(which: str, alpha: PhaseFunction, axis: int = 0) -> PhaseFunctio
     if which not in ("p", "x"):
         raise ValidationError(f"which must be 'p' or 'x', got {which!r}")
     g = alpha.grid
-    if alpha.poly is not None:
-        dpoly = alpha.poly.diff_x(axis) if which == "p" else alpha.poly.diff_p(axis)
-        return PhaseFunction.from_poly(g, dpoly * 2j, role=alpha.role)
     ax = g.n + axis if which == "p" else axis
+    if alpha.poly is not None:
+        return PhaseFunction.from_poly(g, alpha.poly.diff(ax) * 2j, role=alpha.role)
     vals = 2j * derivative(alpha.values, g, axis=ax)
     return PhaseFunction(g, vals, role=alpha.role, _checked=True)
 

@@ -32,7 +32,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._poly import PhasePolynomial, _moyal_terms, poisson_poly, star_poly
+from ._poly import PhasePolynomial, _moyal_terms, bracket_poly, star_poly
+from ._spectral import _symbol
 from .errors import AccuracyError, ValidationError
 from .heisenberg_group import _coerce_k
 from .phase_space import DENSITY_IMAG_TOL, PhaseFunction, PhaseGrid, inner
@@ -42,7 +43,8 @@ HBAR = 2.0
 
 @dataclass(frozen=True)
 class StarMethod:
-    """Evaluation strategy: truncated series of order M, or spectral kernel."""
+    """Strategy for two grid factors: truncated series of order M, or spectral
+    kernel. A polynomial factor ends the series at its degree instead."""
 
     variant: str = "spectral"
     order: int = 8
@@ -111,11 +113,7 @@ class _Derivs:
             mags = np.abs(spec)
             spec[mags < _SPECTRUM_FLOOR * mags.max()] = 0.0
             self._spectrum = spec
-        mult = np.ones((), dtype=np.complex128)
-        for ax, m in enumerate(orders):
-            if m:
-                mult = mult * (1j * self.grid.freq_fields[ax]) ** m
-        vals = np.fft.ifftn(mult * self._spectrum)
+        vals = np.fft.ifftn(_symbol(self.grid, orders) * self._spectrum)
         self._grid_cache[orders] = vals
         return vals
 
@@ -140,16 +138,11 @@ def _series_terms(alpha: PhaseFunction, beta: PhaseFunction, c: float, max_order
 
 def _star_series(alpha: PhaseFunction, beta: PhaseFunction, c: float,
                  order: int) -> tuple[np.ndarray, list[float]]:
-    """Truncated series; returns (values, per-order sup norms)."""
-    terminates = alpha.poly is not None or beta.poly is not None
-    if terminates:
-        deg_cap = min(
-            alpha.poly.total_degree if alpha.poly is not None else order,
-            beta.poly.total_degree if beta.poly is not None else order,
-        )
-        max_order = deg_cap
-    else:
-        max_order = order
+    """Truncated series; returns (values, per-order sup norms). A polynomial
+    factor terminates the series at its degree, whatever `order` says."""
+    degrees = [f.poly.total_degree for f in (alpha, beta) if f.poly is not None]
+    terminates = bool(degrees)
+    max_order = min(degrees) if terminates else order
     out = np.zeros(alpha.grid.shape, dtype=np.complex128)
     norms: list[float] = []
     for _m, term in _series_terms(alpha, beta, c, max_order):
@@ -297,12 +290,13 @@ def scaled_moyal_bracket(alpha: PhaseFunction, beta: PhaseFunction,
 
 
 def poisson_bracket(alpha: PhaseFunction, beta: PhaseFunction) -> PhaseFunction:
-    """{α, β} = Σᵢ ∂α/∂xᵢ ∂β/∂pᵢ − ∂α/∂pᵢ ∂β/∂xᵢ."""
+    """{α, β} = Σᵢ ∂α/∂xᵢ ∂β/∂pᵢ − ∂α/∂pᵢ ∂β/∂xᵢ. The grid form is written
+    out, not taken from the bracket terms, so it checks the flows."""
     if alpha.grid != beta.grid:
         raise ValidationError("grid mismatch")
     grid = alpha.grid
     if alpha.poly is not None and beta.poly is not None:
-        return PhaseFunction.from_poly(grid, poisson_poly(alpha.poly, beta.poly))
+        return PhaseFunction.from_poly(grid, bracket_poly(alpha.poly, beta.poly, 0.0))
     da, db = _Derivs(alpha), _Derivs(beta)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for i in range(grid.n):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wwgm import (
     AccuracyError,
@@ -21,6 +23,7 @@ from wwgm import (
     trace_pair,
     wigner,
 )
+from wwgm._poly import bracket_poly, star_poly
 from wwgm.analytic_oracle import oracle_coherent_star, oracle_polynomial_star
 from wwgm.catalog import make_observable
 
@@ -98,6 +101,52 @@ def test_poisson_bracket_grid_antisymmetry(grid, rng):
     g = coherent_state(CoherentLabel([-0.2], [0.5]), grid)
     asym = poisson_bracket(f, g) + poisson_bracket(g, f)
     assert asym.max_abs() < 1e-12
+
+
+# ------------------------------------------ the bracket as odd Moyal terms
+
+#: 1-d polynomials of degree <= 4 with dyadic coefficients, keyed (p, x)
+_EXPO = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: sum(e) <= 4)
+_POLY = st.dictionaries(_EXPO, st.integers(-8, 8).map(lambda j: j / 4), min_size=1,
+                        max_size=4).map(lambda d: PhasePolynomial(1, d))
+#: c = 0 (the Poisson bracket) or c = 1/k² with k in [1, 8]
+_C = st.one_of(st.just(0.0), st.floats(1.0, 8.0).map(lambda k: 1.0 / k ** 2))
+_BRACKET_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+
+
+def _gap(got: dict, want: dict) -> float:
+    """max |got − want| over the coefficients, relative to the largest of want."""
+    keys = set(got) | set(want)
+    diff = max((abs(got.get(e, 0) - want.get(e, 0)) for e in keys), default=0.0)
+    return diff / (max((abs(v) for v in want.values()), default=0.0) or 1.0)
+
+
+@_BRACKET_SETTINGS
+@given(a=_POLY, b=_POLY, d=_POLY, c=_C)
+def test_bracket_poly_is_the_scaled_commutator(a, b, d, c):
+    ab = bracket_poly(a, b, c)
+    if c:
+        inline = (star_poly(a, b, c) - star_poly(b, a, c)) * (1 / (2j * c))
+        assert _gap(ab.coeffs, inline.coeffs) <= 1e-14
+    else:
+        # {a, b} = ∂_x a ∂_p b − ∂_p a ∂_x b, variables indexed (p, x)
+        assert ab.coeffs == (a.diff(1) * b.diff(0) - a.diff(0) * b.diff(1)).coeffs
+    assert (ab + bracket_poly(b, a, c)).is_zero
+    cyclic = [bracket_poly(u, bracket_poly(v, w, c), c) for u, v, w in ((a, b, d), (b, d, a),
+                                                                         (d, a, b))]
+    scale = max((abs(v) for t in cyclic for v in t.coeffs.values()), default=0.0)
+    jacobi = cyclic[0] + cyclic[1] + cyclic[2]
+    assert all(abs(v) <= 1e-12 * scale for v in jacobi.coeffs.values())
+
+
+@_BRACKET_SETTINGS
+@given(ea=_EXPO, eb=_EXPO, k=st.floats(1.0, 8.0))
+def test_bracket_poly_matches_the_oracle_on_monomials(ea, eb, k):
+    c = 1.0 / k ** 2
+    ab, ba = (oracle_polynomial_star((1, *u), (1, *v), c) for u, v in ((ea, eb), (eb, ea)))
+    want = {e: (ab.get(e, 0) - ba.get(e, 0)) / (2j * c) for e in set(ab) | set(ba)}
+    mono_a, mono_b = (PhasePolynomial(1, {e: 1.0}) for e in (ea, eb))
+    assert _gap(bracket_poly(mono_a, mono_b, c).coeffs, want) <= 1e-14
 
 
 # ----------------------------------------------------- spectral grid product
@@ -184,6 +233,16 @@ def test_series_terminates_on_polynomial_factor(grid):
     ser = star(x, g, SER)
     spec = star(x, g, SPEC)
     assert np.max(np.abs(ser.values - spec.values)) < 1e-6
+
+
+def test_terminating_series_ignores_the_order():
+    # a polynomial factor ends the series at its degree; `order` truncates
+    # only a grid × grid series
+    g64 = PhaseGrid(n=1, N=64, L=8.0)
+    x2, g = make_observable("x^2", g64), make_observable("gaussian", g64)
+    for method in (StarMethod("spectral", 1), StarMethod("series", 1)):
+        assert np.array_equal(star(x2, g, method).values, star(x2, g).values)
+        assert np.array_equal(star(g, x2, method).values, star(g, x2).values)
 
 
 def test_series_vs_spectral_plane_waves(grid):
