@@ -26,6 +26,7 @@ from wwgm import (
 from wwgm._poly import bracket_poly, star_poly
 from wwgm.analytic_oracle import oracle_coherent_star, oracle_polynomial_star
 from wwgm.catalog import make_observable
+from wwgm.star_algebra import _band_size, _mode_sum
 
 SER = StarMethod("series", 10)
 SPEC = StarMethod("spectral")
@@ -225,6 +226,52 @@ def test_integral_of_star_is_integral_of_product(grid):
     assert abs(np.sum(s.values) - np.sum(fa.values * fb.values)) * grid.weight < 1e-10
 
 
+# --------------------------------------------------- band-cropped spectral ⋆
+
+def _crop_size(a, b):
+    return _band_size(np.fft.fftn(a.values), np.fft.fftn(b.values), a.grid.N)
+
+
+def _full_kernel(a, b, c=1.0):
+    return _mode_sum(np.fft.fftn(a.values), b.values, a.grid, c)
+
+
+def test_cropped_star_matches_the_full_grid_kernel(grid256):
+    phi = coherent_state(CoherentLabel([0.53125], [0.78125]), grid256)
+    g1 = make_observable("gaussian", grid256, {"sigma": 1.0})
+    g2 = make_observable("gaussian", grid256, {"p0": 0.5, "x0": -0.5, "sigma": 1.0})
+    for a, b in ((phi, phi.conj()), (g1, g2)):
+        assert _crop_size(a, b) < grid256.N
+        want = _full_kernel(a, b)
+        got = star(a, b, SPEC).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_star_falls_back_to_the_full_grid_bit_for_bit(grid):
+    narrow = make_observable("gaussian", grid, {"sigma": 0.25})
+    wide = make_observable("gaussian", grid, {"sigma": 1.0})
+    assert _crop_size(narrow, wide) == grid.N
+    assert np.array_equal(star(narrow, wide, SPEC).values, _full_kernel(narrow, wide))
+
+
+_MODE = st.integers(-6, 6)
+_WAVES = st.lists(st.tuples(_MODE, _MODE, st.floats(-1.0, 1.0)), min_size=2, max_size=3)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(first=_WAVES, second=_WAVES, k=st.floats(1.0, 4.0))
+def test_cropped_star_is_the_bilinear_twist(first, second, k):
+    # (Σ u_j w_j) ⋆ (Σ v_l w_l) = Σ u_j v_l w_j w_l e^{i c (λ_p μ_x − λ_x μ_p)}
+    g64 = PhaseGrid(n=1, N=64, L=8.0)
+    c = 1.0 / k ** 2
+    fa, fb = ([(amp, *plane_wave(g64, jp, jx)) for jp, jx, amp in f] for f in (first, second))
+    a, b = (PhaseFunction(g64, sum(amp * w.values for amp, w, _, _ in f)) for f in (fa, fb))
+    want = sum(u * v * w.values * z.values * np.exp(1j * c * (lp * mx - lx * mp))
+               for u, w, lp, lx in fa for v, z, mp, mx in fb)
+    assert _crop_size(a, b) < g64.N
+    assert np.max(np.abs(star(a, b, SPEC, k=k).values - want)) <= 1e-11
+
+
 # ------------------------------------------------------------- series method
 
 def test_series_terminates_on_polynomial_factor(grid):
@@ -370,7 +417,8 @@ def test_two_dim_poly_star():
 
 
 def test_two_dim_spectral_plane_waves():
-    g = PhaseGrid(2, 16, 8.0)
+    # the band of the product fits 16 points per axis: the kernel runs there
+    g = PhaseGrid(2, 32, 8.0)
     freqs = g.freqs
     modes1 = (2, -3, 1, 4)
     modes2 = (-1, 2, 3, -2)
@@ -384,6 +432,7 @@ def test_two_dim_spectral_plane_waves():
         return PhaseFunction(g, np.exp(phase))
 
     w1, w2 = wave(modes1), wave(modes2)
+    assert _crop_size(w1, w2) == 16
     got = star(w1, w2, SPEC)
     tw = sum(freqs[modes1[i]] * freqs[modes2[2 + i]]
              - freqs[modes1[2 + i]] * freqs[modes2[i]] for i in range(2))
